@@ -31,22 +31,77 @@ namespace serve {
 
 namespace {
 
-/** Min-heap ordering of future arrivals by (arrival, id). */
+/** Strict (arrival, id) order of future arrivals. */
+bool
+arrivesBefore(const InferenceRequest &a, const InferenceRequest &b)
+{
+    if (a.arrivalUs != b.arrivalUs)
+        return a.arrivalUs < b.arrivalUs;
+    return a.id < b.id;
+}
+
+/** Min-heap ordering for std::priority_queue (earliest on top). */
 struct ArrivalAfter
 {
     bool
     operator()(const InferenceRequest &a,
                const InferenceRequest &b) const
     {
-        if (a.arrivalUs != b.arrivalUs)
-            return a.arrivalUs > b.arrivalUs;
-        return a.id > b.id;
+        return arrivesBefore(b, a);
     }
 };
 
-using FutureQueue =
-    std::priority_queue<InferenceRequest,
-                        std::vector<InferenceRequest>, ArrivalAfter>;
+/**
+ * Future arrivals in (arrival, id) order: a cursor over the caller's
+ * (arrival, id)-sorted trace, merged with a min-heap that holds only
+ * the requests the loop re-injects (retries and closed-loop
+ * reissues). An open-loop day is consumed in place, so the queue
+ * costs O(1) per trace request and no copy of the trace.
+ */
+class FutureQueue
+{
+  public:
+    explicit FutureQueue(const std::vector<InferenceRequest> &trace)
+        : trace_(trace)
+    {}
+
+    bool empty() const { return next_ == trace_.size() && heap_.empty(); }
+
+    /** The earliest future arrival; the queue must be non-empty. */
+    const InferenceRequest &top() const
+    {
+        return fromHeap() ? heap_.top() : trace_[next_];
+    }
+
+    /** Remove and return the earliest future arrival. */
+    InferenceRequest take()
+    {
+        if (!fromHeap())
+            return trace_[next_++];
+        InferenceRequest req = heap_.top();
+        heap_.pop();
+        return req;
+    }
+
+    void push(InferenceRequest req) { heap_.push(std::move(req)); }
+
+  private:
+    /** True when the heap holds the earliest arrival (the trace wins
+     *  an exact (arrival, id) tie). */
+    bool fromHeap() const
+    {
+        if (heap_.empty())
+            return false;
+        return next_ == trace_.size() ||
+               arrivesBefore(heap_.top(), trace_[next_]);
+    }
+
+    const std::vector<InferenceRequest> &trace_;
+    std::size_t next_ = 0;
+    std::priority_queue<InferenceRequest, std::vector<InferenceRequest>,
+                        ArrivalAfter>
+        heap_;
+};
 
 json::Value
 percentilesJson(const Percentiles &p)
@@ -745,7 +800,7 @@ class ServingEngine::LoopContext : public SchedulerContext
 
 template <typename OnFinish, typename OnShed>
 ServeReport
-ServingEngine::runLoop(std::vector<InferenceRequest> initial,
+ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                        const std::vector<std::string> &warmNetworks,
                        OnFinish &&onFinish, OnShed &&onShed)
 {
@@ -809,7 +864,7 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
     report.faultReport = faultEra;
     report.switchReport = opts_.switchPenaltyUs > 0.0;
 
-    FutureQueue future(ArrivalAfter{}, std::move(initial));
+    FutureQueue future(initial);
     std::deque<InferenceRequest> queue;
     for (auto &replica : replicas_) {
         const std::size_t cls = replica.cls;
@@ -849,8 +904,7 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
     // miss. Sheds are reported separately from misses, and the
     // closed loop's onShed hands the shed client its next request.
     const auto tryAdmit = [&]() -> bool {
-        InferenceRequest req = future.top();
-        future.pop();
+        InferenceRequest req = future.take();
         validateRequest(req, cap);
         firstArrival = std::min(firstArrival, req.arrivalUs);
         if (faultEra) {
@@ -931,11 +985,10 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
             report.requestsAbandoned += queue.size();
             queue.clear();
             while (!future.empty()) {
-                if (retrying.find(future.top().id) == retrying.end())
+                if (retrying.find(future.take().id) == retrying.end())
                     ++report.requestsIssued;
                 ++report.requestsAbandoned;
                 ++stranded;
-                future.pop();
             }
             retrying.clear();
             BF_WARN("serving fleet is permanently down; abandoning ",
@@ -1336,18 +1389,32 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
 ServeReport
 ServingEngine::run(const std::vector<InferenceRequest> &trace)
 {
+    // The arrival cursor consumes the trace in (arrival, id) order.
+    // Parsed and synthetic traces already are; a hand-built trace
+    // whose tied arrivals carry descending ids is served from a
+    // sorted copy.
+    bool tiesOutOfOrder = false;
     for (std::size_t i = 1; i < trace.size(); ++i) {
         if (trace[i].arrivalUs < trace[i - 1].arrivalUs) {
             BF_FATAL("open-loop trace is not arrival-ordered at "
                      "request ",
                      i);
         }
+        tiesOutOfOrder |= arrivesBefore(trace[i], trace[i - 1]);
     }
     std::vector<std::string> networks;
-    for (const auto &req : trace)
-        networks.push_back(req.network);
+    for (const auto &req : trace) {
+        if (std::find(networks.begin(), networks.end(), req.network) ==
+            networks.end())
+            networks.push_back(req.network);
+    }
+    std::vector<InferenceRequest> sorted;
+    if (tiesOutOfOrder) {
+        sorted = trace;
+        std::stable_sort(sorted.begin(), sorted.end(), arrivesBefore);
+    }
     ServeReport report = runLoop(
-        trace, networks,
+        tiesOutOfOrder ? sorted : trace, networks,
         [](const RequestRecord &, std::vector<InferenceRequest> &) {},
         [](const InferenceRequest &, double,
            std::vector<InferenceRequest> &) {});
@@ -1402,7 +1469,7 @@ ServingEngine::runClosedLoop(const ClosedLoopSpec &spec)
     // The whole network mix prewarms, not just the starters' random
     // draws.
     ServeReport report = runLoop(
-        std::move(initial), networks,
+        initial, networks,
         [&](const RequestRecord &rec,
             std::vector<InferenceRequest> &out) {
             if (issued < spec.requests)

@@ -432,7 +432,12 @@ class ServingEngine
     /** Replicas behind the queue. */
     std::size_t replicaCount() const { return replicas_.size(); }
 
-    /** Serve an arrival-ordered open-loop trace to completion. */
+    /**
+     * Serve an open-loop trace to completion; fatal when arrivals go
+     * backwards. Requests are admitted in (arrival, id) order straight
+     * from @p trace; one whose tied arrivals carry descending ids is
+     * served from a sorted copy.
+     */
     ServeReport run(const std::vector<InferenceRequest> &trace);
 
     /** Run the closed-loop benchmark @p spec describes. */
@@ -501,7 +506,7 @@ class ServingEngine
     void precompile(const std::vector<std::string> &networks);
     void internCatalog();
     template <typename OnFinish, typename OnShed>
-    ServeReport runLoop(std::vector<InferenceRequest> initial,
+    ServeReport runLoop(const std::vector<InferenceRequest> &initial,
                         const std::vector<std::string> &warmNetworks,
                         OnFinish &&onFinish, OnShed &&onShed);
 

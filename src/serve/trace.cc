@@ -1,10 +1,11 @@
 #include "src/serve/trace.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
+#include <string_view>
 
 #include "src/common/logging.h"
 #include "src/common/prng.h"
@@ -240,23 +241,62 @@ formatTrace(const std::vector<InferenceRequest> &trace)
 
 namespace {
 
+/** The whitespace operator>> skips in the C locale. */
+bool
+isTraceSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /**
  * Strict full-token nonnegative double: "12abc" is a fatal error,
  * not 12 (the old stream extraction would read the 12 and leave the
- * rest to misalign every following field).
+ * rest to misalign every following field). from_chars covers the
+ * plain decimal forms; a token it does not consume whole -- a
+ * leading '+', a hex float, a range error, or garbage -- is decided
+ * by strtod on a NUL-terminated copy. Both round correctly, so the
+ * result is strtod's either way.
  */
 double
-parseTraceNumber(const std::string &token, const std::string &source,
+parseTraceNumber(std::string_view token, const std::string &source,
                  std::size_t lineNo, const char *what)
 {
-    char *end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' ||
-        !std::isfinite(value) || value < 0.0) {
+    double value = 0.0;
+    const char *last = token.data() + token.size();
+    const auto res = std::from_chars(token.data(), last, value);
+    bool whole = res.ec == std::errc() && res.ptr == last;
+    if (!whole) {
+        const std::string copy(token);
+        char *end = nullptr;
+        value = std::strtod(copy.c_str(), &end);
+        whole = end != copy.c_str() && *end == '\0';
+    }
+    if (!whole || !std::isfinite(value) || value < 0.0) {
         BF_FATAL(source, ":", lineNo, ": malformed ", what, " '",
                  token, "' (want a nonnegative number)");
     }
     return value;
+}
+
+/** Full-token positive sample count; strtoll decides the rest. */
+unsigned
+parseSampleCount(std::string_view token, const std::string &source,
+                 std::size_t lineNo)
+{
+    long long samples = 0;
+    const char *last = token.data() + token.size();
+    const auto res = std::from_chars(token.data(), last, samples);
+    bool whole = res.ec == std::errc() && res.ptr == last;
+    if (!whole) {
+        const std::string copy(token);
+        char *end = nullptr;
+        samples = std::strtoll(copy.c_str(), &end, 10);
+        whole = end != copy.c_str() && *end == '\0';
+    }
+    if (!whole || samples <= 0 ||
+        samples > std::numeric_limits<unsigned>::max())
+        BF_FATAL(source, ":", lineNo, ": bad sample count '", token, "'");
+    return static_cast<unsigned>(samples);
 }
 
 } // namespace
@@ -264,31 +304,47 @@ parseTraceNumber(const std::string &token, const std::string &source,
 std::vector<InferenceRequest>
 parseTrace(const std::string &text, const std::string &source)
 {
+    // One pass over the text: lines end at '\n' (string_view::find
+    // is a memchr), and every field is a view into the text.
+    const std::string_view all(text);
     std::vector<InferenceRequest> trace;
-    std::istringstream in(text);
-    std::string line;
+    const auto newlines = std::count(all.begin(), all.end(), '\n');
+    trace.reserve(static_cast<std::size_t>(newlines) + 1);
     std::size_t lineNo = 0;
-    while (std::getline(in, line)) {
+    for (std::size_t pos = 0; pos < all.size();) {
+        std::size_t eol = all.find('\n', pos);
+        if (eol == std::string_view::npos)
+            eol = all.size();
+        const std::string_view line = all.substr(pos, eol - pos);
+        pos = eol + 1;
         ++lineNo;
         const auto start = line.find_first_not_of(" \t\r");
-        if (start == std::string::npos || line[start] == '#')
+        if (start == std::string_view::npos || line[start] == '#')
             continue;
 
-        // Tokenize the whole line up front: a malformed or truncated
-        // field is diagnosed with its file:line, never silently
-        // absorbed into a neighboring column.
-        std::vector<std::string> fields;
-        std::istringstream split(line);
-        std::string token;
-        while (split >> token)
-            fields.push_back(token);
-        if (fields.size() < 3) {
+        // Tokenize the whole line up front (a fifth field is kept only
+        // for its diagnostic): a malformed or truncated field is
+        // diagnosed with its file:line, never silently absorbed into a
+        // neighboring column.
+        std::string_view fields[5];
+        std::size_t count = 0;
+        for (std::size_t at = 0; count < 5;) {
+            while (at < line.size() && isTraceSpace(line[at]))
+                ++at;
+            if (at == line.size())
+                break;
+            const std::size_t begin = at;
+            while (at < line.size() && !isTraceSpace(line[at]))
+                ++at;
+            fields[count++] = line.substr(begin, at - begin);
+        }
+        if (count < 3) {
             BF_FATAL(source, ":", lineNo,
                      ": malformed trace line '", line,
                      "' (want: arrival_us network samples "
                      "[deadline_us])");
         }
-        if (fields.size() > 4) {
+        if (count > 4) {
             BF_FATAL(source, ":", lineNo, ": trailing '", fields[4],
                      "' after the deadline column");
         }
@@ -299,17 +355,8 @@ parseTrace(const std::string &text, const std::string &source)
             parseTraceNumber(fields[0], source, lineNo,
                              "arrival time");
         req.network = fields[1];
-        char *end = nullptr;
-        const long long samples =
-            std::strtoll(fields[2].c_str(), &end, 10);
-        if (end == fields[2].c_str() || *end != '\0' ||
-            samples <= 0 ||
-            samples > std::numeric_limits<unsigned>::max()) {
-            BF_FATAL(source, ":", lineNo, ": bad sample count '",
-                     fields[2], "'");
-        }
-        req.samples = static_cast<unsigned>(samples);
-        if (fields.size() == 4) {
+        req.samples = parseSampleCount(fields[2], source, lineNo);
+        if (count == 4) {
             req.deadlineUs = parseTraceNumber(fields[3], source,
                                               lineNo, "deadline");
         }

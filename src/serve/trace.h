@@ -116,8 +116,10 @@ std::string formatTrace(const std::vector<InferenceRequest> &trace);
  * Parse the trace file format above; fatal -- with @p source and the
  * line number as file:line context -- on a malformed or truncated
  * field, a non-numeric time, a trailing column, or out-of-order
- * arrivals. Every field is parsed as a full token, so "12abc" is an
- * error rather than 12. Ids are assigned in line order.
+ * arrivals. Fields are split on C-locale whitespace, and every
+ * number must be one whole strtod (times) or base-10 strtoll
+ * (samples) token, so "12abc" is an error rather than 12. Ids are
+ * assigned in line order. docs/serving.md spells out the syntax.
  */
 std::vector<InferenceRequest>
 parseTrace(const std::string &text,
