@@ -41,24 +41,19 @@ P2Quantile::add(double x)
         return;
     }
 
-    // Locate the marker cell the observation falls into, stretching
-    // the extreme markers when it lands outside them.
-    int k;
-    if (x < height_[0]) {
-        height_[0] = x;
-        k = 0;
-    } else if (x >= height_[4]) {
-        height_[4] = x;
-        k = 3;
-    } else {
-        k = 0;
-        while (k < 3 && x >= height_[k + 1])
-            ++k;
-    }
+    // Stretch the extreme markers when the observation lands outside
+    // them, then locate its marker cell. The heights stay sorted, so
+    // the count of interior markers at or below x is the cell index
+    // a linear walk would find, without the walk's branches.
+    height_[0] = x < height_[0] ? x : height_[0];
+    height_[4] = x >= height_[4] ? x : height_[4];
+    const int k = static_cast<int>(x >= height_[1]) +
+                  static_cast<int>(x >= height_[2]) +
+                  static_cast<int>(x >= height_[3]);
     ++count_;
 
-    for (int i = k + 1; i < 5; ++i)
-        position_[i] += 1.0;
+    for (int i = 1; i < 5; ++i)
+        position_[i] += static_cast<double>(i > k);
     for (int i = 0; i < 5; ++i)
         desired_[i] += drift_[i];
 

@@ -196,30 +196,36 @@ class EdfScheduler : public Scheduler
         const unsigned cap = ctx.maxBatch();
 
         std::size_t headIdx = 0;
+        double headKey = deadlineKey(queue[0]);
         for (std::size_t i = 1; i < queue.size(); ++i) {
-            if (deadlineKey(queue[i]) < deadlineKey(queue[headIdx]))
+            const double key = deadlineKey(queue[i]);
+            if (key < headKey) {
                 headIdx = i;
+                headKey = key;
+            }
         }
 
         BatchPlan out;
         out.network = queue[headIdx].network;
 
         // Same-network candidates in (deadline, queue position)
-        // order; whole requests join while they fit.
-        std::vector<std::size_t> candidates;
+        // order; whole requests join while they fit. The keys are
+        // never NaN and the positions are distinct, so the order is
+        // total and equals a stable sort on deadline alone.
+        candidates_.clear();
         for (std::size_t i = 0; i < queue.size(); ++i) {
             if (queue[i].network == out.network)
-                candidates.push_back(i);
+                candidates_.emplace_back(deadlineKey(queue[i]), i);
         }
-        std::stable_sort(candidates.begin(), candidates.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return deadlineKey(queue[a]) <
-                                    deadlineKey(queue[b]);
-                         });
+        std::sort(candidates_.begin(), candidates_.end());
+        // Every member holds at least one sample: one allocation.
+        out.members.reserve(
+            std::min<std::size_t>(candidates_.size(), cap));
         unsigned samples = 0;
-        for (std::size_t i : candidates) {
+        for (const auto &candidate : candidates_) {
             if (samples >= cap)
                 break;
+            const std::size_t i = candidate.second;
             if (samples + queue[i].samples <= cap) {
                 out.members.push_back(i);
                 samples += queue[i].samples;
@@ -230,6 +236,11 @@ class EdfScheduler : public Scheduler
         out.dispatchUs = memberDispatch(queue, out, now);
         return out;
     }
+
+  private:
+    /** (deadline key, queue position) scratch, reused across plans
+     *  so planning allocates only when the queue outgrows it. */
+    std::vector<std::pair<double, std::size_t>> candidates_;
 };
 
 /**

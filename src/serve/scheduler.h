@@ -110,7 +110,8 @@ class SchedulerContext
     virtual std::size_t upReplicas() const { return totalReplicas(); }
 };
 
-/** Dispatch policy; stateless between plan() calls. */
+/** Dispatch policy; carries no decision state between plan() calls
+ *  (a policy may reuse scratch buffers). */
 class Scheduler
 {
   public:

@@ -147,12 +147,20 @@ sameClass(const PlatformSpec &a, const PlatformSpec &b)
  *  the gap at the span's tail erases once. deque::erase shifts
  *  whichever side of the deque is smaller, so the common
  *  front-clustered FIFO batch costs O(members) amortized instead of
- *  the old rebuild-the-whole-deque O(queue). */
+ *  the old rebuild-the-whole-deque O(queue). Members out of queue
+ *  order (edf's join order) are sorted into @p scratch first. */
 void
 eraseMembers(std::deque<InferenceRequest> &queue,
-             std::vector<std::size_t> members)
+             const std::vector<std::size_t> &joined,
+             std::vector<std::size_t> &scratch)
 {
-    std::sort(members.begin(), members.end());
+    const std::vector<std::size_t> *sorted = &joined;
+    if (!std::is_sorted(joined.begin(), joined.end())) {
+        scratch.assign(joined.begin(), joined.end());
+        std::sort(scratch.begin(), scratch.end());
+        sorted = &scratch;
+    }
+    const std::vector<std::size_t> &members = *sorted;
     for (std::size_t m = 1; m < members.size(); ++m)
         BF_ASSERT(members[m] != members[m - 1]);
     const std::size_t first = members.front();
@@ -595,10 +603,9 @@ ServingEngine::statsFor(std::size_t cls, unsigned netId,
                         unsigned batch)
 {
     PlatformClass &entry = classes_[cls];
-    std::map<unsigned, RunStats> &shapes = entry.memo[netId];
-    auto it = shapes.find(batch);
-    if (it != shapes.end())
-        return it->second;
+    std::vector<std::unique_ptr<RunStats>> &row = entry.memo[netId];
+    if (batch < row.size() && row[batch])
+        return *row[batch];
 
     const Platform &platform = platformFor(cls, batch);
     const Network &net = variant(catalog_[netId], entry.spec);
@@ -606,8 +613,10 @@ ServingEngine::statsFor(std::size_t cls, unsigned netId,
     RunOptions runOpts;
     runOpts.timing = opts_.timing;
     runOpts.artifact = out.artifact.get();
-    return shapes.emplace(batch, platform.run(net, runOpts))
-        .first->second;
+    if (batch >= row.size())
+        row.resize(static_cast<std::size_t>(batch) + 1);
+    row[batch] = std::make_unique<RunStats>(platform.run(net, runOpts));
+    return *row[batch];
 }
 
 double
@@ -637,25 +646,24 @@ ServingEngine::cheapestFreeLatencyUs(unsigned netId, unsigned batch,
     return best;
 }
 
-double
-ServingEngine::minFreeAtUs() const
+void
+ServingEngine::setFreeAt(std::size_t r, double freeAt)
 {
-    double earliest = replicas_.front().freeAt;
-    for (const auto &replica : replicas_)
-        earliest = std::min(earliest, replica.freeAt);
-    return earliest;
+    // Readiness is a pure function of (replica, free time) on the
+    // fault timeline, so caching it here -- the only place freeAt
+    // moves -- is exact.
+    Replica &replica = replicas_[r];
+    replica.freeAt = freeAt;
+    replica.readyAt =
+        timeline_ == nullptr ? freeAt : timeline_->upAfter(r, freeAt);
 }
 
 double
-ServingEngine::earliestReadyUs()
+ServingEngine::earliestReadyUs() const
 {
-    if (timeline_ == nullptr)
-        return minFreeAtUs();
-    double earliest = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-        earliest = std::min(
-            earliest, timeline_->upAfter(r, replicas_[r].freeAt));
-    }
+    double earliest = replicas_.front().readyAt;
+    for (const auto &replica : replicas_)
+        earliest = std::min(earliest, replica.readyAt);
     return earliest;
 }
 
@@ -675,8 +683,10 @@ ServingEngine::memoSize() const
 {
     std::size_t total = 0;
     for (const auto &cls : classes_) {
-        for (const auto &shapes : cls.memo)
-            total += shapes.size();
+        for (const auto &row : cls.memo) {
+            for (const auto &slot : row)
+                total += slot ? 1 : 0;
+        }
     }
     return total;
 }
@@ -866,10 +876,12 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
 
     FutureQueue future(initial);
     std::deque<InferenceRequest> queue;
-    for (auto &replica : replicas_) {
-        const std::size_t cls = replica.cls;
-        replica = Replica{};
-        replica.cls = cls;
+    std::vector<std::size_t> eraseScratch;
+    for (std::size_t r = 0; r < replicas_.size(); ++r) {
+        const std::size_t cls = replicas_[r].cls;
+        replicas_[r] = Replica{};
+        replicas_[r].cls = cls;
+        setFreeAt(r, 0.0);
     }
     LoopContext ctx(*this, queue, future, cap);
 
@@ -911,7 +923,8 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             // A re-entering retry was already admitted (and counted
             // issued) on its first arrival; it bypasses admission so
             // a degraded fleet cannot shed work it has accepted.
-            if (retrying.find(req.id) != retrying.end()) {
+            if (!retrying.empty() &&
+                retrying.find(req.id) != retrying.end()) {
                 queue.push_back(std::move(req));
                 return true;
             }
@@ -960,18 +973,11 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
         // go to the lowest index); under faults "ready" means both
         // free of work and outside any outage.
         std::size_t planner = 0;
-        double plannerReady =
-            timeline_ == nullptr
-                ? replicas_[0].freeAt
-                : timeline_->upAfter(0, replicas_[0].freeAt);
+        double plannerReady = replicas_[0].readyAt;
         for (std::size_t r = 1; r < replicas_.size(); ++r) {
-            const double ready =
-                timeline_ == nullptr
-                    ? replicas_[r].freeAt
-                    : timeline_->upAfter(r, replicas_[r].freeAt);
-            if (ready < plannerReady) {
+            if (replicas_[r].readyAt < plannerReady) {
                 planner = r;
-                plannerReady = ready;
+                plannerReady = replicas_[r].readyAt;
             }
         }
         double now = plannerReady;
@@ -1064,7 +1070,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             report.requestsAbandoned += plan.members.size();
             for (std::size_t i : plan.members)
                 retrying.erase(queue[i].id);
-            eraseMembers(queue, plan.members);
+            eraseMembers(queue, plan.members, eraseScratch);
             continue;
         }
 
@@ -1178,15 +1184,15 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
         // time and energy; destroyed or cancelled compute counts as
         // waste and charges nothing.
         if (primaryLost) {
-            replica.freeAt = timeline_->upAfter(chosen, failAt);
+            setFreeAt(chosen, timeline_->upAfter(chosen, failAt));
             replica.wastedUs += failAt - dispatch;
             replica.lostBatches += 1;
             ++report.lostBatches;
         } else if (hedgeWins) {
-            replica.freeAt = doneAt;
+            setFreeAt(chosen, doneAt);
             replica.wastedUs += doneAt - dispatch;
         } else {
-            replica.freeAt = finish;
+            setFreeAt(chosen, finish);
             replica.batches += 1;
             replica.samples += planSamples;
             replica.busyUs += latencyUs;
@@ -1198,7 +1204,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
         if (hedged) {
             Replica &hr = replicas_[hedgeReplica];
             if (hedgeWins) {
-                hr.freeAt = hedgeFinish;
+                setFreeAt(hedgeReplica, hedgeFinish);
                 hr.batches += 1;
                 hr.samples += planSamples;
                 hr.busyUs += hedgeLatencyUs;
@@ -1208,14 +1214,14 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                 // Its replica died under it before the primary
                 // completed.
                 hedgeDied = true;
-                hr.freeAt =
-                    timeline_->upAfter(hedgeReplica, hedgeFailAt);
+                setFreeAt(hedgeReplica,
+                          timeline_->upAfter(hedgeReplica, hedgeFailAt));
                 hr.wastedUs += hedgeFailAt - hedgeDispatch;
                 hr.lostBatches += 1;
                 ++report.lostBatches;
             } else {
                 // Cancelled when the primary completed first.
-                hr.freeAt = doneAt;
+                setFreeAt(hedgeReplica, doneAt);
                 hr.wastedUs += doneAt - hedgeDispatch;
             }
         }
@@ -1248,13 +1254,15 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
         if (completed) {
             for (std::size_t i : plan.members) {
                 RequestRecord rec;
-                rec.request = queue[i];
+                rec.request = std::move(queue[i]);
                 rec.dispatchUs = dispatch;
                 rec.finishUs = doneAt;
                 rec.batchSamples = planSamples;
                 rec.replica = static_cast<unsigned>(serveReplica);
                 if (faultEra) {
-                    const auto it = retrying.find(rec.request.id);
+                    const auto it = retrying.empty()
+                                        ? retrying.end()
+                                        : retrying.find(rec.request.id);
                     if (it != retrying.end()) {
                         // A recovered request's latency spans every
                         // attempt since its first arrival.
@@ -1339,7 +1347,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
         for (auto &req : injected)
             future.push(std::move(req));
 
-        eraseMembers(queue, plan.members);
+        eraseMembers(queue, plan.members, eraseScratch);
     }
 
     std::stable_sort(report.requests.begin(), report.requests.end(),

@@ -454,11 +454,13 @@ class ServingEngine
         /** Built platform per batch size (batch binds at build). */
         std::map<unsigned, std::unique_ptr<Platform>> platforms;
         /**
-         * Memoized simulation per (network id, batch-size): indexed
-         * by the interned network id, then keyed by batch, so the
-         * hot planning loop never builds a string key.
+         * Memoized simulation at [network id][batch size], so the hot
+         * planning loop neither builds a key nor walks a tree. A row
+         * grows only to the largest batch its network has run, and
+         * each result lives on the heap: runLoop holds a reference to
+         * one result while later lookups grow the row.
          */
-        std::vector<std::map<unsigned, RunStats>> memo;
+        std::vector<std::vector<std::unique_ptr<RunStats>>> memo;
     };
 
     /** Sentinel for "no network served yet" (a cold replica). */
@@ -468,6 +470,10 @@ class ServingEngine
     {
         std::size_t cls = 0;
         double freeAt = 0.0;
+        /** Earliest time the replica is both free and up: the fault
+         *  timeline's upAfter(r, freeAt), cached by setFreeAt (equal
+         *  to freeAt without a fault model). */
+        double readyAt = 0.0;
         std::size_t batches = 0;
         std::uint64_t samples = 0;
         double busyUs = 0.0;
@@ -489,15 +495,15 @@ class ServingEngine
     const Platform &platformFor(std::size_t cls, unsigned batch);
     const RunStats &statsFor(std::size_t cls, unsigned netId,
                              unsigned batch);
+    /** Move replica @p r's free time and refresh its readiness. */
+    void setFreeAt(std::size_t r, double freeAt);
     /** Min simulated latency over classes with an up, free replica
      *  (down replicas are excluded from the scheduler's oracle). */
     double cheapestFreeLatencyUs(unsigned netId, unsigned batch,
                                  double now);
-    /** Earliest virtual time any replica frees up. */
-    double minFreeAtUs() const;
-    /** Earliest virtual time any replica is both free and up
-     *  (equals minFreeAtUs without an active fault model). */
-    double earliestReadyUs();
+    /** Earliest virtual time any replica is both free and up (the
+     *  earliest free time without an active fault model). */
+    double earliestReadyUs() const;
     /** Replicas not inside a fault outage at @p now. */
     std::size_t upReplicaCount(double now);
     std::size_t memoSize() const;

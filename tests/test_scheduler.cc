@@ -1,6 +1,7 @@
 /**
  * @file
- * Scheduler and fleet invariants: EDF ordering and its miss
+ * Scheduler and fleet invariants: EDF ordering, its member selection
+ * against the stable-sort original on random queues, and its miss
  * advantage over FIFO on a contended deadlined trace, the lookahead
  * scheduler's head-of-line starvation bound, SLO-aware batching
  * meeting a p99 budget FIFO misses, heterogeneous routing to the
@@ -11,10 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/baselines/gpu.h"
+#include "src/common/prng.h"
 #include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
 #include "src/serve/scheduler.h"
@@ -184,6 +190,127 @@ contendedDeadlineTrace(double tightUs, double looseUs)
     for (auto &r : trace)
         r.deadlineUs = r.arrivalUs + (r.id % 2 == 0 ? tightUs : looseUs);
     return trace;
+}
+
+/** A fixed queue for driving one policy's plan() directly. */
+class FixedQueueContext : public serve::SchedulerContext
+{
+  public:
+    FixedQueueContext(std::deque<InferenceRequest> queue, unsigned cap)
+        : queue_(std::move(queue)), cap_(cap)
+    {}
+
+    const std::deque<InferenceRequest> &queue() const override
+    {
+        return queue_;
+    }
+    const InferenceRequest *nextArrival() const override { return nullptr; }
+    bool absorbNextArrival() override { return false; }
+    double batchLatencyUs(const std::string &, unsigned) override
+    {
+        return 0.0;
+    }
+    unsigned maxBatch() const override { return cap_; }
+    double windowUs() const override { return 0.0; }
+    double sloBudgetUs() const override { return 0.0; }
+
+  private:
+    std::deque<InferenceRequest> queue_;
+    unsigned cap_;
+};
+
+/**
+ * The edf plan as it stood with a per-plan candidate vector and a
+ * stable sort on deadline alone, as a free function: the
+ * differential oracle for the scratch-reusing EdfScheduler.
+ */
+serve::BatchPlan
+stableSortEdfPlan(const std::deque<InferenceRequest> &queue, unsigned cap,
+                  double now)
+{
+    const auto deadlineKey = [](const InferenceRequest &r) {
+        return r.deadlineUs > 0.0 ? r.deadlineUs
+                                  : std::numeric_limits<double>::infinity();
+    };
+    std::size_t headIdx = 0;
+    for (std::size_t i = 1; i < queue.size(); ++i) {
+        if (deadlineKey(queue[i]) < deadlineKey(queue[headIdx]))
+            headIdx = i;
+    }
+
+    serve::BatchPlan out;
+    out.network = queue[headIdx].network;
+    std::vector<std::size_t> candidates;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+        if (queue[i].network == out.network)
+            candidates.push_back(i);
+    }
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return deadlineKey(queue[a]) <
+                                deadlineKey(queue[b]);
+                     });
+    unsigned samples = 0;
+    for (std::size_t i : candidates) {
+        if (samples >= cap)
+            break;
+        if (samples + queue[i].samples <= cap) {
+            out.members.push_back(i);
+            samples += queue[i].samples;
+        }
+    }
+    out.samples = samples;
+    double dispatch = now;
+    for (std::size_t i : out.members)
+        dispatch = std::max(dispatch, queue[i].arrivalUs);
+    out.dispatchUs = dispatch;
+    return out;
+}
+
+TEST(ServeSchedEdf, SelectionMatchesTheStableSortPlan)
+{
+    // One policy instance plans every queue, so its reused scratch
+    // must never leak one plan's candidates into the next.
+    const auto edf = serve::makeScheduler("edf");
+    const char *const networks[] = {"netA", "netB", "netC"};
+    Prng prng(2024);
+    std::size_t multiMember = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        const unsigned caps[] = {1, 4, 16};
+        const unsigned cap = caps[trial % 3];
+        // Mostly shallow queues, with a tail out to the 512 depth
+        // the admission bound allows.
+        const std::size_t depth =
+            trial % 4 == 0 ? 1 + prng.below(512) : 1 + prng.below(48);
+        // Few distinct deadlines force ties; some queues draw them
+        // from a continuum instead.
+        const bool coarse = prng.below(4) != 0;
+        std::deque<InferenceRequest> queue;
+        double arrival = 0.0;
+        for (std::size_t i = 0; i < depth; ++i) {
+            arrival += 10.0 * static_cast<double>(prng.below(3));
+            const char *network = networks[prng.below(3)];
+            const auto samples = static_cast<unsigned>(1 + prng.below(cap));
+            const double slot = static_cast<double>(prng.below(6));
+            double deadline = 0.0; // deadline-free
+            if (prng.below(10) >= 3) {
+                deadline = coarse ? 1000.0 + 250.0 * slot
+                                  : 1000.0 + 5000.0 * prng.nextDouble();
+            }
+            queue.push_back(req(i, network, samples, arrival, deadline));
+        }
+        const double now = arrival / 2.0;
+        const serve::BatchPlan want = stableSortEdfPlan(queue, cap, now);
+        FixedQueueContext ctx(std::move(queue), cap);
+        const serve::BatchPlan got = edf->plan(ctx, now);
+        ASSERT_EQ(got.members, want.members) << "trial " << trial;
+        ASSERT_EQ(got.network, want.network) << "trial " << trial;
+        ASSERT_EQ(got.samples, want.samples) << "trial " << trial;
+        ASSERT_EQ(got.dispatchUs, want.dispatchUs) << "trial " << trial;
+        multiMember += want.members.size() > 1 ? 1 : 0;
+    }
+    // The caps above 1 coalesce, so join order was really exercised.
+    EXPECT_GT(multiMember, 1000u);
 }
 
 TEST(ServeSchedEdf, StrictlyFewerMissesThanFifoUnderContention)
@@ -484,6 +611,46 @@ TEST(ServeFleet, DeterministicAcrossThreadCountsAndRuns)
     opts.threads = 1;
     ServingEngine again = tinyEngine(cacheAgain, opts, fleet);
     EXPECT_EQ(again.run(trace).json(true), a);
+}
+
+TEST(ServeFleet, HugeBatchCapCostsOnlyTheShapesItRuns)
+{
+    // The shape memo grows with the batches a run actually forms, not
+    // with the cap: a cap near 2^31 builds, runs and matches a run
+    // whose cap is just large enough never to bind.
+    TraceSpec traceSpec;
+    traceSpec.seed = 5;
+    traceSpec.requests = 60;
+    traceSpec.meanGapUs = 2.0;
+    traceSpec.maxSamples = 4;
+    traceSpec.networks = {"netA", "netB"};
+    const auto trace = serve::syntheticTrace(traceSpec);
+    unsigned totalSamples = 0;
+    for (const auto &r : trace)
+        totalSamples += r.samples;
+
+    ServeOptions opts;
+    opts.retainRecords = true;
+    opts.maxBatch = totalSamples;
+    ArtifactCache cacheFit, cacheHuge;
+    ServingEngine fit = tinyEngine(cacheFit, opts);
+    opts.maxBatch = static_cast<unsigned>(
+        std::numeric_limits<std::int32_t>::max());
+    ServingEngine huge = tinyEngine(cacheHuge, opts);
+
+    const ServeReport a = fit.run(trace);
+    const ServeReport b = huge.run(trace);
+    EXPECT_EQ(b.maxBatch, opts.maxBatch);
+    EXPECT_EQ(b.distinctBatchShapes, a.distinctBatchShapes);
+    ASSERT_LT(a.batches.size(), trace.size()); // requests coalesced
+    ASSERT_EQ(b.batches.size(), a.batches.size());
+    for (std::size_t i = 0; i < a.batches.size(); ++i) {
+        EXPECT_EQ(b.batches[i].network, a.batches[i].network);
+        EXPECT_EQ(b.batches[i].samples, a.batches[i].samples);
+        EXPECT_EQ(b.batches[i].dispatchUs, a.batches[i].dispatchUs);
+        EXPECT_EQ(b.batches[i].latencyUs, a.batches[i].latencyUs);
+    }
+    EXPECT_EQ(b.requests.size(), trace.size());
 }
 
 TEST(ServeFleet, ClosedLoopGrantsDeadlineSlack)

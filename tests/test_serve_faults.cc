@@ -1,12 +1,13 @@
 /**
  * @file
  * Fault-tolerant serving tests: the outage-argument parser and spec
- * validation, FaultTimeline point queries and query-order
- * independence, in-flight batch loss with retry/backoff recovery,
- * hedged re-dispatch with first-completion-wins accounting, the
- * retry-budget bound under a dead-majority fleet, availability
- * reconciliation, chaos determinism across worker-thread counts, the
- * network-switch penalty, and the dormant-knob report shape.
+ * validation, FaultTimeline point queries and the query-order
+ * independence of upAt / upAfter / nextDownWithin, in-flight batch
+ * loss with retry/backoff recovery, hedged re-dispatch with
+ * first-completion-wins accounting, the retry-budget bound under a
+ * dead-majority fleet, availability reconciliation, chaos
+ * determinism across worker-thread counts, the network-switch
+ * penalty, and the dormant-knob report shape.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 #include <cstddef>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/prng.h"
 #include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
 #include "src/serve/faults.h"
@@ -228,33 +231,116 @@ TEST(FaultTimelineQueries, RackEventsCoverTheWholeRack)
 
 TEST(FaultTimelineQueries, SeededLayoutIsQueryOrderIndependent)
 {
+    // Seeded churn, explicit replica outages (one permanent) and
+    // rack outages overlap, so upAfter has to chain across sources.
     FaultSpec spec;
     spec.seed = 42;
     spec.mtbfUs = 5000.0;
     spec.mttrUs = 1000.0;
-    FaultTimeline ascending(spec, 3);
-    FaultTimeline descending(spec, 3);
+    spec.replicaEvents = {FaultEvent{1, 12000.0, 3000.0},
+                          FaultEvent{2, 40000.0, 0.0}};
+    spec.rackSize = 2;
+    spec.rackEvents = {FaultEvent{0, 20000.0, 2500.0},
+                       FaultEvent{1, 13000.0, 1500.0}};
+    constexpr std::size_t kReplicas = 4;
 
-    // Ask one timeline forward in time and the other backward (and
-    // across replicas in opposite orders): lazy extension must give
-    // bit-identical answers either way.
-    std::vector<double> grid;
-    for (int i = 0; i <= 200; ++i)
-        grid.push_back(250.0 * i);
-    std::vector<std::vector<bool>> forward(3);
-    for (std::size_t r = 0; r < 3; ++r) {
-        for (double t : grid)
-            forward[r].push_back(ascending.upAt(r, t));
-    }
-    for (std::size_t r = 3; r-- > 0;) {
-        for (std::size_t i = grid.size(); i-- > 0;) {
-            EXPECT_EQ(descending.upAt(r, grid[i]), forward[r][i])
-                << "replica " << r << " t " << grid[i];
+    // Every point, readiness and in-flight-loss query on a grid;
+    // the answers in ascending order are the reference.
+    struct Query
+    {
+        int kind; // 0 upAt, 1 upAfter, 2 nextDownWithin
+        std::size_t r;
+        double t;
+    };
+    const auto ask = [](FaultTimeline &timeline, const Query &q) {
+        if (q.kind == 0)
+            return timeline.upAt(q.r, q.t) ? 1.0 : 0.0;
+        if (q.kind == 1)
+            return timeline.upAfter(q.r, q.t);
+        return timeline.nextDownWithin(q.r, q.t, q.t + 3000.0);
+    };
+    std::vector<Query> queries;
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+        for (int i = 0; i <= 200; ++i) {
+            for (int kind = 0; kind < 3; ++kind)
+                queries.push_back(Query{kind, r, 250.0 * i});
         }
     }
+    FaultTimeline ascending(spec, kReplicas);
+    std::vector<double> reference;
+    for (const Query &q : queries)
+        reference.push_back(ask(ascending, q));
 
-    // Some failures actually occurred on the grid, and the per-lane
-    // streams differ (independent per-replica derivation).
+    // Lazy extension must give bit-identical answers in any order:
+    // backward, shuffled, and shuffled with every query repeated.
+    const auto expectReference = [&](const std::vector<std::size_t> &order,
+                                     const char *label) {
+        FaultTimeline timeline(spec, kReplicas);
+        for (std::size_t n : order) {
+            const Query &q = queries[n];
+            ASSERT_EQ(ask(timeline, q), reference[n])
+                << label << ": kind " << q.kind << " replica " << q.r
+                << " t " << q.t;
+        }
+    };
+    std::vector<std::size_t> order(queries.size());
+    for (std::size_t n = 0; n < order.size(); ++n)
+        order[n] = order.size() - 1 - n;
+    expectReference(order, "descending");
+    Prng prng(7);
+    const auto shuffle = [&](std::vector<std::size_t> &v) {
+        for (std::size_t n = v.size(); n > 1; --n)
+            std::swap(v[n - 1], v[prng.below(n)]);
+    };
+    for (int round = 0; round < 3; ++round) {
+        shuffle(order);
+        expectReference(order, "shuffled");
+    }
+    std::vector<std::size_t> repeated = order;
+    repeated.insert(repeated.end(), order.begin(), order.end());
+    shuffle(repeated);
+    expectReference(repeated, "repeated");
+
+    // The grid saw chained recoveries, the permanent outage and
+    // in-flight onsets.
+    bool chained = false;
+    bool permanent = false;
+    bool onset = false;
+    for (std::size_t n = 0; n < queries.size(); ++n) {
+        const Query &q = queries[n];
+        if (q.kind == 1 && reference[n] > q.t + 250.0)
+            chained = true;
+        if (q.kind == 1 && std::isinf(reference[n]))
+            permanent = true;
+        if (q.kind == 2 && std::isfinite(reference[n]))
+            onset = true;
+    }
+    EXPECT_TRUE(chained);
+    EXPECT_TRUE(permanent);
+    EXPECT_TRUE(onset);
+
+    // Seeded churn alone (no explicit or rack outage to lean on):
+    // ask one timeline forward in time and another backward, then
+    // check that failures actually occurred on the grid and that the
+    // per-lane streams differ (independent per-replica derivation).
+    FaultSpec churn;
+    churn.seed = 42;
+    churn.mtbfUs = 5000.0;
+    churn.mttrUs = 1000.0;
+    FaultTimeline churnAscending(churn, 3);
+    FaultTimeline churnDescending(churn, 3);
+    std::vector<std::vector<bool>> forward(3);
+    for (std::size_t r = 0; r < 3; ++r) {
+        for (int i = 0; i <= 200; ++i)
+            forward[r].push_back(churnAscending.upAt(r, 250.0 * i));
+    }
+    for (std::size_t r = 3; r-- > 0;) {
+        for (int i = 200; i >= 0; --i) {
+            EXPECT_EQ(churnDescending.upAt(r, 250.0 * i),
+                      forward[r][static_cast<std::size_t>(i)])
+                << "replica " << r << " t " << 250.0 * i;
+        }
+    }
     bool anyDown = false;
     for (const auto &lane : forward) {
         for (bool up : lane)

@@ -4,8 +4,10 @@
  * against the exact nearest-rank values, bursty arrival generation
  * (MMPP / diurnal / flash crowd), admission-control shed accounting,
  * the shortest-round-trip trace format, active-window throughput,
- * and byte-parity of the contended scheduler goldens after the
- * queue-compaction and interning rewrite.
+ * byte-parity of the contended scheduler goldens after the
+ * queue-compaction and interning rewrite and of a mixed-fleet chaos
+ * golden after the readiness cache, and the branch-free P-squared
+ * update against the linear-walk original.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -193,6 +198,188 @@ TEST(StreamingStats, DeterministicForFixedOrder)
     EXPECT_DOUBLE_EQ(a.p99(), b.p99());
     EXPECT_DOUBLE_EQ(a.mean(), b.mean());
     EXPECT_DOUBLE_EQ(a.max(), b.max());
+}
+
+/**
+ * The P-squared estimator as it stood with a linear marker-cell walk
+ * and branchy position increments, copied without its comments: the
+ * differential oracle for the branch-free P2Quantile::add.
+ */
+class WalkP2Quantile
+{
+  public:
+    explicit WalkP2Quantile(double quantile) : quantile_(quantile) {}
+
+    void
+    add(double x)
+    {
+        if (count_ < 5) {
+            height_[count_++] = x;
+            if (count_ == 5) {
+                std::sort(height_, height_ + 5);
+                for (int i = 0; i < 5; ++i)
+                    position_[i] = i + 1;
+                desired_[0] = 1.0;
+                desired_[1] = 1.0 + 2.0 * quantile_;
+                desired_[2] = 1.0 + 4.0 * quantile_;
+                desired_[3] = 3.0 + 2.0 * quantile_;
+                desired_[4] = 5.0;
+                drift_[0] = 0.0;
+                drift_[1] = quantile_ / 2.0;
+                drift_[2] = quantile_;
+                drift_[3] = (1.0 + quantile_) / 2.0;
+                drift_[4] = 1.0;
+            }
+            return;
+        }
+
+        int k;
+        if (x < height_[0]) {
+            height_[0] = x;
+            k = 0;
+        } else if (x >= height_[4]) {
+            height_[4] = x;
+            k = 3;
+        } else {
+            k = 0;
+            while (k < 3 && x >= height_[k + 1])
+                ++k;
+        }
+        ++count_;
+
+        for (int i = k + 1; i < 5; ++i)
+            position_[i] += 1.0;
+        for (int i = 0; i < 5; ++i)
+            desired_[i] += drift_[i];
+
+        for (int i = 1; i <= 3; ++i) {
+            const double d = desired_[i] - position_[i];
+            if ((d >= 1.0 && position_[i + 1] - position_[i] > 1.0) ||
+                (d <= -1.0 && position_[i - 1] - position_[i] < -1.0)) {
+                const double s = d >= 0.0 ? 1.0 : -1.0;
+                const double below = position_[i] - position_[i - 1];
+                const double above = position_[i + 1] - position_[i];
+                const double parabolic =
+                    height_[i] +
+                    s / (position_[i + 1] - position_[i - 1]) *
+                        ((below + s) * (height_[i + 1] - height_[i]) /
+                             above +
+                         (above - s) * (height_[i] - height_[i - 1]) /
+                             below);
+                if (height_[i - 1] < parabolic &&
+                    parabolic < height_[i + 1]) {
+                    height_[i] = parabolic;
+                } else {
+                    const int j = s > 0.0 ? i + 1 : i - 1;
+                    height_[i] += s * (height_[j] - height_[i]) /
+                                  (position_[j] - position_[i]);
+                }
+                position_[i] += s;
+            }
+        }
+    }
+
+    double
+    value() const
+    {
+        if (count_ == 0)
+            return 0.0;
+        if (count_ <= 5) {
+            double sorted[5];
+            std::copy(height_, height_ + count_, sorted);
+            std::sort(sorted, sorted + count_);
+            std::size_t idx = static_cast<std::size_t>(
+                std::ceil(quantile_ * static_cast<double>(count_)));
+            idx = std::max<std::size_t>(idx, 1);
+            return sorted[std::min(idx, count_) - 1];
+        }
+        return height_[2];
+    }
+
+  private:
+    double quantile_;
+    double height_[5] = {0, 0, 0, 0, 0};
+    double position_[5] = {0, 0, 0, 0, 0};
+    double desired_[5] = {0, 0, 0, 0, 0};
+    double drift_[5] = {0, 0, 0, 0, 0};
+    std::size_t count_ = 0;
+};
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+TEST(StreamingStats, BranchFreeCellSearchMatchesTheLinearWalk)
+{
+    // A standard normal by Box-Muller, for the lognormal stream.
+    const auto normal = [](Prng &prng) {
+        const double u = 1.0 - prng.nextDouble();
+        const double v = prng.nextDouble();
+        return std::sqrt(-2.0 * std::log(u)) *
+               std::cos(6.283185307179586 * v);
+    };
+    struct Stream
+    {
+        const char *name;
+        std::function<double(Prng &, std::size_t)> draw;
+    };
+    const std::vector<Stream> streams = {
+        {"uniform",
+         [](Prng &p, std::size_t) { return 1000.0 * p.nextDouble(); }},
+        {"exponential",
+         [](Prng &p, std::size_t) { return p.nextExponential(100.0); }},
+        {"lognormal",
+         [&](Prng &p, std::size_t) {
+             return std::exp(4.0 + 1.5 * normal(p));
+         }},
+        {"bimodal",
+         [](Prng &p, std::size_t) {
+             if (p.nextDouble() < 0.8)
+                 return 50.0 + 100.0 * p.nextDouble();
+             return 900.0 + 100.0 * p.nextDouble();
+         }},
+        {"heavy ties",
+         [](Prng &p, std::size_t) {
+             return 125.0 * static_cast<double>(p.below(4));
+         }},
+        {"constant", [](Prng &, std::size_t) { return 640.0; }},
+        {"increasing",
+         [](Prng &, std::size_t i) {
+             return 3.0 + 0.5 * static_cast<double>(i);
+         }},
+        {"decreasing",
+         [](Prng &, std::size_t i) {
+             return 1e6 - 7.0 * static_cast<double>(i);
+         }},
+    };
+
+    constexpr std::size_t kObservations = 20000;
+    std::uint64_t seed = 100;
+    for (const Stream &stream : streams) {
+        for (double q : {0.5, 0.95, 0.99}) {
+            Prng prng(++seed);
+            P2Quantile estimator(q);
+            WalkP2Quantile oracle(q);
+            for (std::size_t i = 0; i < kObservations; ++i) {
+                const double x = stream.draw(prng, i);
+                estimator.add(x);
+                oracle.add(x);
+                if (bitsOf(estimator.value()) != bitsOf(oracle.value())) {
+                    ADD_FAILURE()
+                        << stream.name << " q=" << q << " after "
+                        << i + 1 << " observations: "
+                        << estimator.value() << " vs walk "
+                        << oracle.value();
+                    break;
+                }
+            }
+            EXPECT_EQ(estimator.count(), kObservations);
+        }
+    }
 }
 
 // --------------------------------------------------- streaming engine
@@ -643,6 +830,59 @@ TEST(ServeParity, LookaheadContendedReportMatchesTheGolden)
     const ServeReport report = engine.run(serve::syntheticTrace(traceSpec));
     EXPECT_EQ(report.json(true),
               readGolden("serve_lookahead_contended.json"));
+}
+
+TEST(ServeParity, ChaosMixedFleetReportMatchesTheGolden)
+{
+    // tests/golden/serve_chaos_mixed.json, written by the engine
+    // before replica readiness was cached: bitfusion_serve --fleet
+    // bitfusion,bitfusion,bitfusion:16nm,eyeriss --scheduler edf
+    // --requests 4000 --seed 5 --mean-gap-us 900 --arrival mmpp
+    // --mmpp-burst-x 3 --req-samples 4 --deadline-us 20000
+    // --shed-unmeetable --max-queue-depth 512
+    // --fail-replica 0@0:for=400000 --fail-rack 0@2000000:for=200000
+    // --rack-size 2 --mtbf-us 120000 --mttr-us 20000 --fault-seed 5
+    // --retry-max 4 --retry-backoff-us 500 --retry-jitter 0.25
+    // --hedge-p99-x 2 --switch-penalty-us 150. Replica 0 starts down
+    // and every settle path (served, lost, hedge won, cancelled or
+    // lost) moves some replica's free time, so a stale readiness
+    // cache changes the report.
+    TraceSpec traceSpec;
+    traceSpec.seed = 5;
+    traceSpec.requests = 4000;
+    traceSpec.meanGapUs = 900.0;
+    traceSpec.maxSamples = 4;
+    traceSpec.deadlineSlackUs = 20000.0;
+    traceSpec.process = ArrivalProcess::Mmpp;
+    traceSpec.burstRateMultiplier = 3.0;
+
+    ArtifactCache cache;
+    ServeOptions opts;
+    opts.cache = &cache;
+    opts.threads = 1;
+    opts.retainRecords = false;
+    opts.scheduler = "edf";
+    opts.shedUnmeetable = true;
+    opts.maxQueueDepth = 512;
+    opts.faults.seed = 5;
+    opts.faults.mtbfUs = 120000.0;
+    opts.faults.mttrUs = 20000.0;
+    opts.faults.replicaEvents = {serve::FaultEvent{0, 0.0, 400000.0}};
+    opts.faults.rackSize = 2;
+    opts.faults.rackEvents = {serve::FaultEvent{0, 2000000.0, 200000.0}};
+    opts.retry.maxAttempts = 4;
+    opts.retry.backoffBaseUs = 500.0;
+    opts.retry.jitterFrac = 0.25;
+    opts.retry.hedgeP99Multiplier = 2.0;
+    opts.switchPenaltyUs = 150.0;
+    ServingEngine engine(PlatformRegistry::builtin().parseFleet(
+                             "bitfusion,bitfusion,bitfusion:16nm,eyeriss"),
+                         opts);
+    const ServeReport report = engine.run(serve::syntheticTrace(traceSpec));
+    EXPECT_GT(report.hedgesWon, 0u);
+    EXPECT_GT(report.hedgesLost, 0u);
+    EXPECT_GT(report.retriesIssued, 0u);
+    EXPECT_EQ(report.json(), readGolden("serve_chaos_mixed.json"));
 }
 
 } // namespace

@@ -9,9 +9,10 @@ Two kinds of dumps ride the bitfusion-bench-1 schema:
   counts, stats/memory parity, memoization and fusion flags -- must
   be identical across runs. CI runs bench_perf once per tier and
   feeds the dumps through this script pairwise.
-- bench_serve_scale serve/serve_scale dumps. The serving engine's
-  virtual-clock results (served/shed/miss counts, p99 latency,
-  energy) are deterministic for a fixed seed on any machine, so CI
+- bench_serve_scale serve/serve_scale and bench_serve_chaos
+  serve_chaos dumps. The serving engine's virtual-clock results
+  (served/shed/miss counts, p99 latency, energy, and the fault
+  ledger) are deterministic for a fixed seed on any machine, so CI
   regenerates the dump and diffs it against the committed BENCH
   trajectory file.
 
@@ -46,6 +47,22 @@ SEMANTIC_METRICS = {
         "shed",
         "misses",
         "p99_us",
+        "energy_j",
+    },
+    # Fault-tolerant serving (bench_serve_chaos): the virtual-clock
+    # ledger of every fault intensity; wall_ms is timing.
+    "serve_chaos": {
+        "requests",
+        "shed",
+        "abandoned",
+        "loss_events",
+        "retries",
+        "recovered",
+        "hedges_issued",
+        "hedges_won",
+        "availability",
+        "goodput",
+        "wasted_us",
         "energy_j",
     },
     # Persistent artifact store (bench_perf): what was resolved and
