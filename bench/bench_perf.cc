@@ -7,10 +7,8 @@
  * threaded, specialized) on interpreter-bound workloads (AlexNet
  * conv layers at 8 bit, a tiled FC with 2-D set-rows DMA, low-bit
  * and 16-bit configs), the end-to-end analytic sweep wall-clock
- * (fig13, cold vs warm artifact cache), and the persistent artifact
- * store (fig13 compile phase resolved cold -- compile and publish --
- * vs warm -- loaded back from disk). Every measurement lands in
- * a machine-readable JSON dump (--json; CI archives it as
+ * (fig13, cold vs warm artifact cache). Every measurement lands in a
+ * machine-readable JSON dump (--json; CI archives it as
  * BENCH_<pr>.json) so later perf PRs are judged against a recorded
  * baseline; docs/performance.md documents the schema.
  *
@@ -24,13 +22,10 @@
  * clear the requested multiple on the smoke workload.
  */
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -39,7 +34,6 @@
 #include "src/common/json.h"
 #include "src/compiler/codegen.h"
 #include "src/core/artifact_cache.h"
-#include "src/core/artifact_store.h"
 #include "src/dnn/model_zoo.h"
 #include "src/isa/exec_plan.h"
 #include "src/isa/interpreter.h"
@@ -272,125 +266,6 @@ runSweepBench(unsigned threads)
     return t;
 }
 
-/**
- * Persistent-store cold-vs-warm resolution of the fig13 compile
- * phase (src/core/artifact_store.h), plus a plan-store leg over the
- * interpreter workloads' blocks. "Cold" compiles into an empty store;
- * "warm" resolves the same keys through a fresh in-process cache and
- * must perform zero compiles and zero plan lowerings.
- */
-struct StoreTimes
-{
-    double coldMs = 0;
-    PathTiming warm;
-    /** Distinct artifacts the fig13 compile phase resolves. */
-    std::size_t artifacts = 0;
-    std::size_t coldCompiles = 0;
-    std::size_t warmCompiles = 0;
-    /** Distinct plans lowered (and published) by the plan leg. */
-    std::size_t planBlocks = 0;
-    std::size_t warmPlanBuilds = 0;
-    /** Warm passes resolved everything from the store, built nothing. */
-    bool ok = true;
-};
-
-StoreTimes
-runStoreBench(const std::vector<Workload> &workloads, unsigned reps)
-{
-    const figures::Figure *fig13 = figures::find("fig13");
-    if (fig13 == nullptr) {
-        std::fprintf(stderr, "fig13 is not registered\n");
-        std::exit(1);
-    }
-    const SweepSpec spec = fig13->spec();
-
-    namespace fs = std::filesystem;
-    const fs::path root =
-        fs::temp_directory_path() /
-        ("bitfusion-bench-store." + std::to_string(::getpid()));
-    std::error_code ec;
-    fs::remove_all(root, ec);
-    ArtifactStore store(root.string());
-
-    // fig13 has no batch overrides: one platform instance per spec
-    // row, resolved against the network variant the platform runs.
-    // This is exactly the sweep's compile phase, isolated so the
-    // simulation phase doesn't dilute the cold/warm contrast.
-    const PlatformRegistry &registry = PlatformRegistry::builtin();
-    std::vector<std::unique_ptr<Platform>> built;
-    for (const PlatformSpec &ps : spec.platforms)
-        built.push_back(registry.build(ps));
-    auto resolveAll = [&](ArtifactCache &cache) {
-        std::size_t resolved = 0;
-        for (std::size_t p = 0; p < spec.platforms.size(); ++p) {
-            if (built[p]->compileKey().empty())
-                continue;
-            for (const SweepNetwork &net : spec.networks) {
-                const Network &variant = spec.platforms[p].runsQuantized
-                                             ? net.quantized
-                                             : net.baseline;
-                if (cache.get(*built[p], variant).artifact != nullptr)
-                    ++resolved;
-            }
-        }
-        return resolved;
-    };
-
-    StoreTimes t;
-    ArtifactCache cold;
-    cold.attachStore(&store);
-    const auto coldStart = Clock::now();
-    t.artifacts = resolveAll(cold);
-    t.coldMs = msSince(coldStart);
-    t.coldCompiles = cold.compileCount();
-
-    // Each warm rep uses a fresh cache so every resolve goes to the
-    // store; the median absorbs a noisy rep the same way the interp
-    // timings do.
-    std::vector<double> warmTimes;
-    warmTimes.reserve(reps);
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        ArtifactCache warm;
-        warm.attachStore(&store);
-        const auto warmStart = Clock::now();
-        const std::size_t resolved = resolveAll(warm);
-        warmTimes.push_back(msSince(warmStart));
-        t.warmCompiles += warm.compileCount();
-        t.ok = t.ok && resolved == t.artifacts &&
-               warm.compileCount() == 0 &&
-               warm.storeHitCount() == t.artifacts;
-    }
-    t.warm = reduceTimes(warmTimes);
-
-    // Plan-store leg: lower every interpreter workload's blocks
-    // through a store-backed cache, then re-resolve them through a
-    // fresh cache over the same store. The warm pass must perform
-    // zero lowerings -- pure deserialization.
-    {
-        ArtifactCache planCold;
-        planCold.attachStore(&store);
-        ArtifactCache planWarm;
-        planWarm.attachStore(&store);
-        AcceleratorConfig cfg = AcceleratorConfig::eyerissMatched45();
-        cfg.batch = 1;
-        const Compiler compiler(cfg);
-        for (const Workload &w : workloads) {
-            const CompiledNetwork cn = compiler.compile(w.net);
-            for (const LayerSchedule &sched : cn.schedules)
-                planCold.plan(sched.block);
-            for (const LayerSchedule &sched : cn.schedules)
-                planWarm.plan(sched.block);
-        }
-        t.planBlocks = planCold.planCount();
-        t.warmPlanBuilds = planWarm.planCount();
-        t.ok = t.ok && t.warmPlanBuilds == 0 &&
-               planWarm.planStoreHitCount() == t.planBlocks;
-    }
-
-    fs::remove_all(root, ec);
-    return t;
-}
-
 } // namespace
 
 int
@@ -401,7 +276,6 @@ main(int argc, char **argv)
     unsigned threads = 1;
     double minSpeedup = 0;
     double minSpeedup16b = 0;
-    double minStoreSpeedup = 0;
     std::string jsonPath;
     bool skipSweep = false;
 
@@ -429,9 +303,6 @@ main(int argc, char **argv)
         } else if (arg == "--min-speedup-16b") {
             minSpeedup16b =
                 cli::doubleArg(argc, argv, i, "--min-speedup-16b");
-        } else if (arg == "--min-store-speedup") {
-            minStoreSpeedup =
-                cli::doubleArg(argc, argv, i, "--min-store-speedup");
         } else if (arg == "--json") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--json needs a path\n");
@@ -446,16 +317,14 @@ main(int argc, char **argv)
                 "                  [--reps N] [--threads N]\n"
                 "                  [--min-speedup X]\n"
                 "                  [--min-speedup-16b X]\n"
-                "                  [--min-store-speedup X]\n"
                 "                  [--json PATH] [--skip-sweep]\n"
                 "\n"
                 "Times the legacy interpreter walk against every\n"
                 "ExecPlan dispatch tier (switch, threaded,\n"
-                "specialized), the fig13 sweep wall-clock, and the\n"
-                "persistent artifact store (fig13 compile phase,\n"
-                "cold store vs warm store); --reps N reports the\n"
-                "median (and records the min) over N timed\n"
-                "repetitions. See docs/performance.md.\n");
+                "specialized) and the fig13 sweep wall-clock;\n"
+                "--reps N reports the median (and records the min)\n"
+                "over N timed repetitions. See\n"
+                "docs/performance.md.\n");
             return 0;
         } else {
             std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
@@ -596,49 +465,6 @@ main(int argc, char **argv)
         entry("wall_ms_warm", t.warmMs);
     }
 
-    const StoreTimes st = runStoreBench(workloads, reps);
-    const double storeSpeedup =
-        st.warm.medianMs > 0 ? st.coldMs / st.warm.medianMs : 0;
-    // The gate compares against the best warm rep: the warm side is
-    // sub-millisecond, so a single noisy rep would otherwise flip a
-    // pass into a spurious failure.
-    const double storeSpeedupBest =
-        st.warm.minMs > 0 ? st.coldMs / st.warm.minMs : 0;
-    std::printf("\npersistent store, fig13 compile phase (%zu "
-                "artifacts): cold %.1f ms, warm %.1f ms (%.1fx), "
-                "warm compiles %zu; plan store: %zu blocks, warm "
-                "builds %zu%s\n",
-                st.artifacts, st.coldMs, st.warm.medianMs,
-                storeSpeedup, st.warmCompiles, st.planBlocks,
-                st.warmPlanBuilds, st.ok ? "" : "  STORE MISMATCH");
-    {
-        auto entry = [&](const char *name, const char *metric,
-                         double value, const char *unit) {
-            entries.push(json::Value::object()
-                             .set("section", "store")
-                             .set("name", name)
-                             .set("metric", metric)
-                             .set("value", value)
-                             .set("unit", unit));
-        };
-        entry("fig13", "wall_ms_cold", st.coldMs, "ms");
-        entry("fig13", "wall_ms_warm", st.warm.medianMs, "ms");
-        entry("fig13", "wall_ms_warm_min", st.warm.minMs, "ms");
-        entry("fig13", "speedup", storeSpeedup, "x");
-        entry("fig13", "speedup_best", storeSpeedupBest, "x");
-        entry("fig13", "artifacts",
-              static_cast<double>(st.artifacts), "count");
-        entry("fig13", "cold_compiles",
-              static_cast<double>(st.coldCompiles), "count");
-        entry("fig13", "warm_compiles",
-              static_cast<double>(st.warmCompiles), "count");
-        entry("interp_blocks", "plan_blocks",
-              static_cast<double>(st.planBlocks), "count");
-        entry("interp_blocks", "warm_plan_builds",
-              static_cast<double>(st.warmPlanBuilds), "count");
-        entry("fig13", "store_ok", st.ok ? 1 : 0, "bool");
-    }
-
     if (!jsonPath.empty()) {
         json::Value doc = json::Value::object();
         doc.set("schema", "bitfusion-bench-1");
@@ -673,20 +499,6 @@ main(int argc, char **argv)
                      "FAIL: baseline_fc_16b speedup %.2fx below the "
                      "--min-speedup-16b %.2fx gate\n",
                      speedup16b, minSpeedup16b);
-        return 1;
-    }
-    if (!st.ok) {
-        std::fprintf(stderr,
-                     "FAIL: a warm store pass compiled or lowered "
-                     "instead of loading (see STORE MISMATCH above)\n");
-        return 1;
-    }
-    if (minStoreSpeedup > 0 && storeSpeedupBest < minStoreSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: warm-store fig13 compile phase %.2fx "
-                     "(best warm rep) below the --min-store-speedup "
-                     "%.2fx gate\n",
-                     storeSpeedupBest, minStoreSpeedup);
         return 1;
     }
     return 0;

@@ -2,9 +2,9 @@
  * @file
  * Plain-text table formatting for benchmark and report output.
  *
- * Every bench binary regenerates one of the paper's tables or figures;
- * this class renders the rows/series in an aligned, copy-pasteable
- * form.
+ * Every figure reporter (src/runner/figures.cc) regenerates one of
+ * the paper's tables or figures; this class renders the rows/series
+ * in an aligned, copy-pasteable form.
  */
 
 #ifndef BITFUSION_COMMON_TABLE_H

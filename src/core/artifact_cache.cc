@@ -2,28 +2,9 @@
 
 #include <utility>
 
-#include "src/common/logging.h"
-#include "src/core/artifact_store.h"
 #include "src/isa/exec_plan.h"
-#include "src/isa/plan_serde.h"
 
 namespace bitfusion {
-
-namespace {
-
-/**
- * Store keys prefix the logical cache key with the record type and
- * the serde format version, so a format bump stops matching old
- * records (clean recompile) instead of misreading them.
- */
-std::string
-storeKeyFor(const char *type, const std::string &key)
-{
-    return std::string(type) + "|v" +
-           std::to_string(kPlanSerdeVersion) + '|' + key;
-}
-
-} // namespace
 
 std::string
 networkFingerprint(const Network &net)
@@ -50,37 +31,16 @@ networkFingerprint(const Network &net)
 ArtifactCache &
 ArtifactCache::process()
 {
-    static ArtifactCache cache(true);
+    static ArtifactCache cache;
     return cache;
-}
-
-void
-ArtifactCache::attachStore(ArtifactStore *store)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    store_ = store;
-    followProcessStore_ = false;
-}
-
-ArtifactStore *
-ArtifactCache::store() const
-{
-    return effectiveStore();
-}
-
-ArtifactStore *
-ArtifactCache::effectiveStore() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return followProcessStore_ ? ArtifactStore::process() : store_;
 }
 
 template <typename Value, typename Build>
 Value
 ArtifactCache::lookupOrBuild(
     std::unordered_map<std::string, std::shared_future<Value>> &map,
-    std::size_t &hits, const std::string &key, Build &&build,
-    bool *ownerOut)
+    std::size_t &hits, std::size_t &builds, const std::string &key,
+    Build &&build, bool *ownerOut)
 {
     std::promise<Value> promise;
     std::shared_future<Value> future;
@@ -93,6 +53,7 @@ ArtifactCache::lookupOrBuild(
             future = it->second;
         } else {
             owner = true;
+            ++builds;
             future = promise.get_future().share();
             map.emplace(key, future);
         }
@@ -116,79 +77,6 @@ ArtifactCache::lookupOrBuild(
     return future.get();
 }
 
-PlatformArtifactPtr
-ArtifactCache::resolveArtifact(const Platform &platform,
-                               const Network &net,
-                               const std::string &key)
-{
-    ArtifactStore *persistent = effectiveStore();
-    const std::string storeKey = storeKeyFor("artifact", key);
-    if (persistent != nullptr) {
-        if (std::optional<std::string> bytes =
-                persistent->load(storeKey)) {
-            try {
-                PlatformArtifactPtr artifact =
-                    platform.deserializeArtifact(*bytes);
-                if (artifact != nullptr) {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    ++storeHits_;
-                    return artifact;
-                }
-            } catch (const std::exception &e) {
-                BF_WARN("store artifact for '", key,
-                        "' failed to deserialize (", e.what(),
-                        "); recompiling");
-            }
-        }
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++compiles_;
-    }
-    PlatformArtifactPtr artifact = platform.compile(net);
-    if (persistent != nullptr && artifact != nullptr) {
-        const std::string bytes =
-            platform.serializeArtifact(*artifact);
-        if (!bytes.empty())
-            persistent->publish(storeKey, bytes);
-    }
-    return artifact;
-}
-
-std::shared_ptr<const ExecPlan>
-ArtifactCache::resolvePlan(const InstructionBlock &block,
-                           const std::string &key)
-{
-    ArtifactStore *persistent = effectiveStore();
-    const std::string storeKey = storeKeyFor("plan", key);
-    if (persistent != nullptr) {
-        if (std::optional<std::string> bytes =
-                persistent->load(storeKey)) {
-            try {
-                std::shared_ptr<const ExecPlan> plan =
-                    deserializePlan(*bytes);
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++planStoreHits_;
-                return plan;
-            } catch (const std::exception &e) {
-                BF_WARN("store plan for '", block.name,
-                        "' failed to deserialize (", e.what(),
-                        "); relowering");
-            }
-        }
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++planBuilds_;
-    }
-    std::shared_ptr<const ExecPlan> plan = ExecPlan::build(block);
-    if (persistent != nullptr)
-        persistent->publish(storeKey, serializePlan(*plan));
-    return plan;
-}
-
 ArtifactCache::Outcome
 ArtifactCache::get(const Platform &platform, const Network &net)
 {
@@ -197,19 +85,19 @@ ArtifactCache::get(const Platform &platform, const Network &net)
         return {};
 
     const std::string key = platformKey + '#' + networkFingerprint(net);
-    bool resolved = false;
+    bool compiled = false;
     PlatformArtifactPtr artifact = lookupOrBuild(
-        entries_, hits_, key,
-        [&] { return resolveArtifact(platform, net, key); }, &resolved);
-    return {std::move(artifact), resolved};
+        entries_, hits_, compiles_, key,
+        [&] { return platform.compile(net); }, &compiled);
+    return {std::move(artifact), compiled};
 }
 
 std::shared_ptr<const ExecPlan>
 ArtifactCache::plan(const InstructionBlock &block)
 {
     const std::string key = ExecPlan::blockKey(block);
-    return lookupOrBuild(plans_, planHits_, key,
-                         [&] { return resolvePlan(block, key); });
+    return lookupOrBuild(plans_, planHits_, planBuilds_, key,
+                         [&] { return ExecPlan::build(block); });
 }
 
 std::size_t
@@ -224,13 +112,6 @@ ArtifactCache::hitCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return hits_;
-}
-
-std::size_t
-ArtifactCache::storeHitCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return storeHits_;
 }
 
 std::size_t
@@ -255,13 +136,6 @@ ArtifactCache::planHitCount() const
 }
 
 std::size_t
-ArtifactCache::planStoreHitCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return planStoreHits_;
-}
-
-std::size_t
 ArtifactCache::planSize() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -276,10 +150,8 @@ ArtifactCache::clear()
     plans_.clear();
     compiles_ = 0;
     hits_ = 0;
-    storeHits_ = 0;
     planBuilds_ = 0;
     planHits_ = 0;
-    planStoreHits_ = 0;
 }
 
 } // namespace bitfusion

@@ -14,16 +14,9 @@
  * Thread safety: get() may be called concurrently for any mix of
  * keys. The first caller of a key compiles; concurrent callers of
  * the same key block on a shared future instead of compiling twice.
- * Distinct keys compile fully in parallel.
- *
- * Persistence: a cache may sit on top of an ArtifactStore
- * (core/artifact_store.h). A miss then probes the store before
- * compiling and publishes what it compiled, so warm processes skip
- * codegen entirely; the process() cache follows the process store
- * (BITFUSION_STORE / --store) automatically, which is what gives
- * sweeps, serving, and both CLIs warm starts with zero call-site
- * changes. Store entries that fail to deserialize are logged and
- * fall back to a clean recompile.
+ * Distinct keys compile fully in parallel. A compile that throws
+ * rethrows to every waiter and leaves no entry behind, so the next
+ * get() of that key compiles again.
  */
 
 #ifndef BITFUSION_CORE_ARTIFACT_CACHE_H
@@ -40,7 +33,6 @@
 
 namespace bitfusion {
 
-class ArtifactStore;
 class ExecPlan;
 struct InstructionBlock;
 
@@ -67,8 +59,7 @@ class ArtifactCache
     struct Outcome
     {
         PlatformArtifactPtr artifact;
-        /** True when this call resolved the miss (by compiling or by
-         *  loading a persistent-store record). */
+        /** True when this call compiled the artifact. */
         bool compiled = false;
     };
 
@@ -89,70 +80,37 @@ class ArtifactCache
      */
     std::shared_ptr<const ExecPlan> plan(const InstructionBlock &block);
 
-    /**
-     * Attach a persistent store for misses to probe and publish
-     * through; nullptr detaches. The process() cache follows
-     * ArtifactStore::process() until an explicit attach.
-     */
-    void attachStore(ArtifactStore *store);
-
-    /** The store misses currently resolve through (may be null). */
-    ArtifactStore *store() const;
-
-    /** Compilations actually performed since construction/clear()
-     *  (a miss served by the store does not count). */
+    /** Compilations performed since construction/clear(). */
     std::size_t compileCount() const;
-    /** Lookups served from an existing in-process entry. */
+    /** Lookups served from an existing entry. */
     std::size_t hitCount() const;
-    /** Misses served by deserializing a store record. */
-    std::size_t storeHitCount() const;
     /** Distinct artifacts currently held. */
     std::size_t size() const;
 
-    /** Plan lowerings actually performed since construction/clear()
-     *  (a miss served by the store does not count). */
+    /** Plan lowerings performed since construction/clear(). */
     std::size_t planCount() const;
-    /** Plan lookups served from an existing in-process entry. */
+    /** Plan lookups served from an existing entry. */
     std::size_t planHitCount() const;
-    /** Plan misses served by deserializing a store record. */
-    std::size_t planStoreHitCount() const;
     /** Distinct plans currently held. */
     std::size_t planSize() const;
 
-    /** Drop every entry and reset the counters (tests). The store
-     *  attachment is kept. */
+    /** Drop every entry and reset the counters (tests). */
     void clear();
 
   private:
-    /** process() construction: follow the process-wide store. */
-    explicit ArtifactCache(bool followProcessStore)
-        : followProcessStore_(followProcessStore)
-    {
-    }
-
-    /** Miss path of get(): store probe -> compile -> store publish. */
-    PlatformArtifactPtr resolveArtifact(const Platform &platform,
-                                        const Network &net,
-                                        const std::string &key);
-
-    /** Miss path of plan(): store probe -> lower -> store publish. */
-    std::shared_ptr<const ExecPlan>
-    resolvePlan(const InstructionBlock &block, const std::string &key);
-
-    /** The attached store, or the process store when following. */
-    ArtifactStore *effectiveStore() const;
     /**
      * The shared memoized-future pattern behind get() and plan():
      * the first caller of a key builds outside the lock, concurrent
      * same-key callers block on the shared future, and a throwing
-     * build erases its entry so a later call can retry.
-     * @p ownerOut (optional) reports whether this call built.
+     * build erases its entry so a later call can retry. @p builds
+     * counts the builds started; @p ownerOut (optional) reports
+     * whether this call built.
      */
     template <typename Value, typename Build>
     Value lookupOrBuild(
         std::unordered_map<std::string, std::shared_future<Value>> &map,
-        std::size_t &hits, const std::string &key, Build &&build,
-        bool *ownerOut = nullptr);
+        std::size_t &hits, std::size_t &builds, const std::string &key,
+        Build &&build, bool *ownerOut = nullptr);
 
     mutable std::mutex mutex_;
     std::unordered_map<std::string,
@@ -162,14 +120,10 @@ class ArtifactCache
         std::string,
         std::shared_future<std::shared_ptr<const ExecPlan>>>
         plans_;
-    ArtifactStore *store_ = nullptr;
-    bool followProcessStore_ = false;
     std::size_t compiles_ = 0;
     std::size_t hits_ = 0;
-    std::size_t storeHits_ = 0;
     std::size_t planBuilds_ = 0;
     std::size_t planHits_ = 0;
-    std::size_t planStoreHits_ = 0;
 };
 
 } // namespace bitfusion

@@ -3,8 +3,8 @@
  * Registry of the paper's figures and tables, each expressed as a
  * sweep grid plus an ASCII reporter.
  *
- * Every bench binary and the bitfusion_sweep CLI resolve figures
- * here, so one declaration drives both: the grid feeds the parallel
+ * The bitfusion_sweep CLI resolves figures here, so one declaration
+ * drives a figure end to end: the grid feeds the parallel
  * SweepRunner, the reporter renders the paper-style table from the
  * deterministic result, and the JSON dump comes for free.
  */
@@ -21,7 +21,7 @@
 namespace bitfusion {
 namespace figures {
 
-/** Options shared by the bench binaries and the sweep CLI. */
+/** Options of one figure run (the sweep CLI's flags). */
 struct FigureOptions
 {
     /** Worker threads; 0 = hardware concurrency. */
@@ -81,17 +81,6 @@ int runPlatforms(const std::vector<std::string> &tokens, unsigned batch,
  */
 int runAll(const std::vector<std::string> &ids,
            const FigureOptions &options);
-
-/**
- * Shared main() for the bench binaries: parse --threads/--json/
- * --per-layer/--timing, then run the named figure. Returns the
- * process exit code.
- */
-int benchMain(const std::string &id, int argc, char **argv);
-
-/** Multi-figure variant (e.g. the ablation bench); see runAll(). */
-int benchMain(const std::vector<std::string> &ids, int argc,
-              char **argv);
 
 } // namespace figures
 } // namespace bitfusion

@@ -239,8 +239,6 @@ SweepRunner::run(const SweepSpec &spec) const
     // ArtifactCache's own counters instead.
     ArtifactCache &cache =
         opts.cache != nullptr ? *opts.cache : ArtifactCache::process();
-    if (opts.store != nullptr)
-        cache.attachStore(opts.store);
     std::vector<PlatformArtifactPtr> compiled(jobs.size());
     parallelFor(jobs.size(), threads, [&](std::size_t j) {
         compiled[j] =

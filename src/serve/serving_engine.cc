@@ -520,8 +520,6 @@ ServingEngine::ServingEngine(std::vector<PlatformSpec> fleet,
 
     cache_ = opts_.cache != nullptr ? opts_.cache
                                     : &ArtifactCache::process();
-    if (opts_.store != nullptr)
-        cache_->attachStore(opts_.store);
     for (const auto &bench : zoo::all())
         catalog_.push_back(bench);
     internCatalog();
@@ -850,12 +848,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
     }
     timeline_ = timeline ? &*timeline : nullptr;
 
-    // Report "compiles" as misses this run resolved, whether by an
-    // actual compile or by a persistent-store load: the count is
-    // then a pure function of the workload, so a warm store leaves
-    // the report -- and the goldens locking it -- byte-identical.
-    const std::size_t compilesBefore =
-        cache_->compileCount() + cache_->storeHitCount();
+    const std::size_t compilesBefore = cache_->compileCount();
     const std::size_t hitsBefore = cache_->hitCount();
     const std::size_t shapesBefore = memoSize();
     precompile(warmNetworks);
@@ -1388,8 +1381,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
     }
     timeline_ = nullptr;
     report.distinctBatchShapes = memoSize() - shapesBefore;
-    report.compiles = cache_->compileCount() +
-                      cache_->storeHitCount() - compilesBefore;
+    report.compiles = cache_->compileCount() - compilesBefore;
     report.cacheHits = cache_->hitCount() - hitsBefore;
     return report;
 }

@@ -56,7 +56,6 @@
 namespace bitfusion {
 
 class ArtifactCache;
-class ArtifactStore;
 
 namespace serve {
 
@@ -93,13 +92,6 @@ struct ServeOptions
      * ArtifactCache::process() shared with the sweep runner.
      */
     ArtifactCache *cache = nullptr;
-    /**
-     * Persistent store attached to the cache at engine construction
-     * (core/artifact_store.h); nullptr leaves the cache's current
-     * attachment -- for the process cache, the BITFUSION_STORE
-     * process store -- in place.
-     */
-    ArtifactStore *store = nullptr;
     /**
      * Summarize latencies with the constant-memory P-squared
      * estimator instead of the exact nearest-rank percentiles; the
@@ -322,9 +314,7 @@ struct ServeReport
     double makespanUs = 0.0;
     /** Summed simulated energy of every dispatched batch. */
     double energyJ = 0.0;
-    /** Artifact-cache misses charged to this run (resolved by a
-     *  compile or, equivalently, a persistent-store load -- so a
-     *  warm store does not change report bytes). */
+    /** Artifact-cache misses this run compiled. */
     std::size_t compiles = 0;
     /** Artifact-cache hits observed by this run. */
     std::size_t cacheHits = 0;

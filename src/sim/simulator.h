@@ -48,14 +48,6 @@ class Simulator : public Platform
     /** Compile @p net to Fusion ISA + schedules (cacheable). */
     PlatformArtifactPtr compile(const Network &net) const override;
 
-    /** Serialize a compiled network for the persistent store. */
-    std::string
-    serializeArtifact(const PlatformArtifact &artifact) const override;
-
-    /** Rebuild a compiled network from serializeArtifact() bytes. */
-    PlatformArtifactPtr
-    deserializeArtifact(const std::string &bytes) const override;
-
     /** Compile (or reuse opts.artifact) and simulate one batch. */
     RunStats run(const Network &net,
                  const RunOptions &opts) const override;

@@ -1,11 +1,17 @@
 /**
  * @file
  * Sweep-runner tests: grid expansion, compiled-network cache
- * behavior, determinism across thread counts, result lookup, and
- * the JSON output shape.
+ * behavior (including its concurrency and failure contract),
+ * determinism across thread counts, result lookup, and the JSON
+ * output shape.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "src/common/json.h"
 #include "src/core/artifact_cache.h"
@@ -14,6 +20,7 @@
 #include "src/baselines/eyeriss.h"
 #include "src/runner/sweep.h"
 #include "src/sim/bitfusion_platform.h"
+#include "src/sim/simulator.h"
 
 namespace bitfusion {
 namespace {
@@ -41,6 +48,24 @@ tinyNet(const std::string &name, unsigned out_c)
     net.add(Layer::fc("fc2", out_c, 16, zoo::cfg4x4()));
     return net;
 }
+
+/** A Bit Fusion simulator whose first compile() throws. */
+class FlakySimulator : public Simulator
+{
+  public:
+    using Simulator::Simulator;
+
+    PlatformArtifactPtr
+    compile(const Network &net) const override
+    {
+        if (calls_.fetch_add(1) == 0)
+            throw std::runtime_error("transient compile failure");
+        return Simulator::compile(net);
+    }
+
+  private:
+    mutable std::atomic<unsigned> calls_{0};
+};
 
 SweepSpec
 tinySpec(std::vector<unsigned> batches = {})
@@ -179,6 +204,54 @@ TEST(SweepCache, GeometryChangeSharesCompiledNetwork)
     // The geometry variants still simulate differently.
     EXPECT_NE(result.stats("wide", "net64").totalCycles,
               result.stats("tall", "net64").totalCycles);
+}
+
+TEST(SweepCache, SharedCacheResolvesOnceUnderContention)
+{
+    // Same-key callers racing on a cold entry block on the first
+    // caller's future instead of compiling again.
+    const Simulator platform(AcceleratorConfig::eyerissMatched45());
+    const Network net = tinyNet("net64", 64);
+    ArtifactCache cache;
+    constexpr unsigned kThreads = 8;
+    std::atomic<unsigned> ready{0};
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&] {
+            ++ready;
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            EXPECT_NE(cache.get(platform, net).artifact, nullptr);
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+
+    // Exactly one compile happened, however the threads raced.
+    EXPECT_EQ(cache.compileCount(), 1u);
+    EXPECT_EQ(cache.hitCount(), kThreads - 1);
+    EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(SweepCache, ThrowingCompileLeavesNoEntry)
+{
+    // A compile that throws reaches the caller and erases its entry,
+    // so the next lookup of the key compiles again and succeeds.
+    const FlakySimulator platform(AcceleratorConfig::eyerissMatched45());
+    const Network net = tinyNet("net64", 64);
+    ArtifactCache cache;
+    EXPECT_THROW(cache.get(platform, net), std::runtime_error);
+    EXPECT_EQ(cache.size(), 0u);
+
+    const ArtifactCache::Outcome retry = cache.get(platform, net);
+    EXPECT_NE(retry.artifact, nullptr);
+    EXPECT_TRUE(retry.compiled);
+    EXPECT_EQ(cache.compileCount(), 2u);
+    EXPECT_EQ(cache.hitCount(), 0u);
+
+    EXPECT_FALSE(cache.get(platform, net).compiled);
+    EXPECT_EQ(cache.hitCount(), 1u);
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(SweepRunner, DeterministicAcrossThreadCounts)

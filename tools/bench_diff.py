@@ -65,17 +65,6 @@ SEMANTIC_METRICS = {
         "wasted_us",
         "energy_j",
     },
-    # Persistent artifact store (bench_perf): what was resolved and
-    # that the warm passes never compiled/lowered; the wall times and
-    # speedups around them are timing.
-    "store": {
-        "artifacts",
-        "cold_compiles",
-        "warm_compiles",
-        "plan_blocks",
-        "warm_plan_builds",
-        "store_ok",
-    },
 }
 
 

@@ -29,8 +29,6 @@
 
 #include "src/common/cli.h"
 #include "src/common/logging.h"
-#include "src/core/artifact_cache.h"
-#include "src/core/artifact_store.h"
 #include "src/serve/scheduler.h"
 #include "src/serve/serving_engine.h"
 
@@ -67,7 +65,6 @@ usage(const char *argv0)
         "      [--retry-jitter F] [--retry-budget N]\n"
         "      [--hedge-us D | --hedge-p99-x M]\n"
         "  output: [--json PATH] [--per-request] [--threads N]\n"
-        "      [--store DIR] [--store-max-bytes N]\n"
         "      [--streaming-stats] [--active-window]\n"
         "  registries: [--list-platforms] [--list-schedulers]\n",
         argv0, schedulerNames().c_str());
@@ -237,7 +234,6 @@ main(int argc, char **argv)
     ServeOptions options;
     bool closedLoop = false;
     bool perRequest = false;
-    std::uint64_t storeMaxBytes = 0;
     bool platformGiven = false;
     bool fleetGiven = false;
     bool replicasGiven = false;
@@ -418,11 +414,6 @@ main(int argc, char **argv)
             openOnlyFlag = arg;
         } else if (arg == "--json" && i + 1 < argc) {
             jsonPath = argv[++i];
-        } else if (arg == "--store" && i + 1 < argc) {
-            ArtifactStore::setProcessRoot(argv[++i]);
-        } else if (arg == "--store-max-bytes") {
-            storeMaxBytes =
-                static_cast<std::uint64_t>(intArg(i, "--store-max-bytes"));
         } else if (arg == "--per-request") {
             perRequest = true;
         } else if (arg == "--list-platforms") {
@@ -531,15 +522,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // The GC budget trims the store after the run; without a store
-    // it would silently do nothing.
-    if (storeMaxBytes > 0 && ArtifactStore::process() == nullptr) {
-        std::fprintf(stderr,
-                     "--store-max-bytes needs a store (--store DIR "
-                     "or BITFUSION_STORE)\n");
-        return 2;
-    }
-
     // Per-request records exist to be dumped; holding them for a
     // million-request run nobody asked to inspect wastes O(requests)
     // memory, so retention follows --per-request.
@@ -598,31 +580,6 @@ main(int argc, char **argv)
         if (!out)
             BF_FATAL("cannot write JSON to '", jsonPath, "'");
         out << report.json(perRequest) << "\n";
-    }
-    if (const ArtifactStore *store = ArtifactStore::process()) {
-        // stderr so cold and warm runs keep identical stdout/JSON.
-        const auto st = store->stats();
-        std::fprintf(stderr,
-                     "store %s: %zu loads, %zu publishes, %zu misses, "
-                     "%zu corrupt; compiles this process: %zu, "
-                     "plan builds: %zu\n",
-                     store->root().c_str(), st.hits, st.publishes,
-                     st.misses, st.corrupt,
-                     ArtifactCache::process().compileCount(),
-                     ArtifactCache::process().planCount());
-        if (storeMaxBytes > 0) {
-            // Trim after this run's publishes so the store caps at
-            // the budget between invocations.
-            const auto gc = store->gc(storeMaxBytes);
-            std::fprintf(stderr,
-                         "store gc: %zu records evicted (%llu bytes) "
-                         "to fit %llu bytes\n",
-                         gc.evicted,
-                         static_cast<unsigned long long>(
-                             gc.evictedBytes),
-                         static_cast<unsigned long long>(
-                             storeMaxBytes));
-        }
     }
     return 0;
 }

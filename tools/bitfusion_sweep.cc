@@ -9,22 +9,19 @@
  *   bitfusion_sweep --platform eyeriss --platform bitfusion
  *                   [--batch N] [--timing ...]
  *
- * Figures run on the parallel sweep engine; output is the same
- * ASCII table the matching bench binary prints, plus optional
- * machine-readable JSON. --platform runs an ad-hoc heterogeneous
- * comparison of any registered platforms (kind[:variant], e.g.
- * eyeriss, stripes, gpu:titan-xp-int8, bitfusion:16nm) over the
- * eight paper benchmarks.
+ * Figures run on the parallel sweep engine; output is the
+ * paper-style ASCII table, plus optional machine-readable JSON.
+ * --platform runs an ad-hoc heterogeneous comparison of any
+ * registered platforms (kind[:variant], e.g. eyeriss, stripes,
+ * gpu:titan-xp-int8, bitfusion:16nm) over the eight paper
+ * benchmarks.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/common/cli.h"
-#include "src/core/artifact_cache.h"
-#include "src/core/artifact_store.h"
 #include "src/core/platform_registry.h"
 #include "src/runner/figures.h"
 #include "src/serve/scheduler.h"
@@ -36,36 +33,13 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s --figure ID [--threads N] [--json PATH] "
-                 "[--per-layer] [--timing simple|overlap] "
-                 "[--store DIR]\n"
+                 "[--per-layer] [--timing simple|overlap]\n"
                  "       %s --all [--threads N]\n"
                  "       %s --platform KIND[:VARIANT] [...] [--batch N]\n"
                  "       %s --list | --list-platforms | "
                  "--list-schedulers\n",
                  argv0, argv0, argv0, argv0);
     return 2;
-}
-
-/**
- * Store traffic summary on stderr (stdout stays byte-identical
- * between cold and warm runs; CI's store smoke greps this).
- */
-void
-printStoreSummary()
-{
-    const bitfusion::ArtifactStore *store =
-        bitfusion::ArtifactStore::process();
-    if (store == nullptr)
-        return;
-    const auto st = store->stats();
-    const auto &cache = bitfusion::ArtifactCache::process();
-    std::fprintf(stderr,
-                 "store %s: %zu loads, %zu publishes, %zu misses, "
-                 "%zu corrupt; compiles this process: %zu, "
-                 "plan builds: %zu\n",
-                 store->root().c_str(), st.hits, st.publishes,
-                 st.misses, st.corrupt, cache.compileCount(),
-                 cache.planCount());
 }
 
 /** One line per registered platform kind: kind, variants, help. */
@@ -112,17 +86,16 @@ main(int argc, char **argv)
             ids.push_back(argv[++i]);
         } else if (arg == "--platform" && i + 1 < argc) {
             platforms.push_back(argv[++i]);
-        } else if (arg == "--batch" && i + 1 < argc) {
-            char *end = nullptr;
-            const long value = std::strtol(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || value <= 0) {
+        } else if (arg == "--batch") {
+            batch = static_cast<unsigned>(
+                cli::uintArg(argc, argv, i, "--batch", UINT32_MAX));
+            if (batch == 0) {
                 std::fprintf(stderr,
                              "--batch needs a positive integer, got "
                              "'%s'\n",
                              argv[i]);
                 return 2;
             }
-            batch = static_cast<unsigned>(value);
         } else if (arg == "--threads") {
             options.threads = static_cast<unsigned>(
                 cli::uintArg(argc, argv, i, "--threads", UINT32_MAX));
@@ -132,8 +105,6 @@ main(int argc, char **argv)
             options.perLayer = true;
         } else if (arg == "--timing") {
             options.timing = timingArg(argc, argv, i);
-        } else if (arg == "--store" && i + 1 < argc) {
-            ArtifactStore::setProcessRoot(argv[++i]);
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--list-platforms") {
@@ -160,9 +131,7 @@ main(int argc, char **argv)
     if (!platforms.empty()) {
         if (run_all || !ids.empty())
             return usage(argv[0]);
-        const int rc = runPlatforms(platforms, batch, options);
-        printStoreSummary();
-        return rc;
+        return runPlatforms(platforms, batch, options);
     }
     if (run_all) {
         for (const auto &figure : all())
@@ -178,7 +147,5 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    const int rc = runAll(ids, options);
-    printStoreSummary();
-    return rc;
+    return runAll(ids, options);
 }
