@@ -7,7 +7,10 @@
  * threaded, specialized) on interpreter-bound workloads (AlexNet
  * conv layers at 8 bit, a tiled FC with 2-D set-rows DMA, low-bit
  * and 16-bit configs), the end-to-end analytic sweep wall-clock
- * (fig13, cold vs warm artifact cache). Every measurement lands in a
+ * (fig13, cold vs warm artifact cache), and a host ceiling -- a
+ * scalar multiply-accumulate loop and a memcpy-bandwidth probe --
+ * that the specialized tier's rates are reported against. Every
+ * measurement lands in a
  * machine-readable JSON dump (--json; CI archives it as
  * BENCH_<pr>.json) so later perf PRs are judged against a recorded
  * baseline; docs/performance.md documents the schema.
@@ -26,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -231,6 +235,73 @@ runInterpWorkload(const Workload &w, unsigned reps)
     return r;
 }
 
+/**
+ * What this host can do without the interpreter: the rate of a
+ * scalar int64 multiply-accumulate loop over L1-resident operands
+ * (one MAC per step; an empty asm barrier on the accumulator keeps
+ * the compiler from vectorizing or dropping it), and memcpy
+ * bandwidth over
+ * buffers larger than most last-level caches, also expressed as the
+ * MAC rate a kernel streaming two 8-byte operands per MAC could
+ * reach. Both are medians over @p reps.
+ */
+struct HostCeiling
+{
+    double scalarMacMmacsPerS = 0;
+    double memcpyGbPerS = 0;
+    double memcpyMmacsPerS = 0;
+};
+
+HostCeiling
+measureHostCeiling(unsigned reps)
+{
+    HostCeiling c;
+    std::vector<double> times;
+
+    constexpr std::size_t kOperands = 2048;
+    constexpr std::uint64_t kPasses = 4096;
+    std::vector<std::int64_t> a(kOperands), w(kOperands);
+    for (std::size_t i = 0; i < kOperands; ++i) {
+        a[i] = static_cast<std::int64_t>(i % 255);
+        w[i] = static_cast<std::int64_t>(i % 127) - 63;
+    }
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        const auto start = Clock::now();
+        std::uint64_t acc = 0;
+        for (std::uint64_t p = 0; p < kPasses; ++p) {
+            for (std::size_t i = 0; i < kOperands; ++i) {
+                acc += static_cast<std::uint64_t>(a[i]) *
+                       static_cast<std::uint64_t>(w[i]);
+#if defined(__GNUC__)
+                __asm__ volatile("" : "+r"(acc));
+#endif
+            }
+        }
+        times.push_back(msSince(start));
+    }
+    const double macs = static_cast<double>(kOperands * kPasses);
+    const PathTiming mac = reduceTimes(times);
+    c.scalarMacMmacsPerS = macs / 1e6 / (mac.medianMs / 1e3);
+
+    constexpr std::size_t kBytes = std::size_t{32} << 20;
+    std::vector<char> src(kBytes, 1), dst(kBytes, 0);
+    times.clear();
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        const auto start = Clock::now();
+        std::memcpy(dst.data(), src.data(), kBytes);
+#if defined(__GNUC__)
+        // The copy's result counts as read: it cannot be elided.
+        __asm__ volatile("" : : "r"(dst.data()) : "memory");
+#endif
+        times.push_back(msSince(start));
+    }
+    const PathTiming copy = reduceTimes(times);
+    c.memcpyGbPerS =
+        static_cast<double>(kBytes) / 1e9 / (copy.medianMs / 1e3);
+    c.memcpyMmacsPerS = c.memcpyGbPerS * 1e3 / 16;
+    return c;
+}
+
 /** fig13 sweep wall-clock, cold and warm artifact cache. */
 struct SweepTimes
 {
@@ -321,7 +392,9 @@ main(int argc, char **argv)
                 "\n"
                 "Times the legacy interpreter walk against every\n"
                 "ExecPlan dispatch tier (switch, threaded,\n"
-                "specialized) and the fig13 sweep wall-clock;\n"
+                "specialized), reports the specialized tier as a\n"
+                "fraction of a host ceiling (scalar MAC loop,\n"
+                "memcpy bandwidth), and times the fig13 sweep;\n"
                 "--reps N reports the median (and records the min)\n"
                 "over N timed repetitions. See\n"
                 "docs/performance.md.\n");
@@ -347,12 +420,31 @@ main(int argc, char **argv)
     };
 
     json::Value entries = json::Value::array();
+    const HostCeiling ceiling = measureHostCeiling(std::max(reps, 3u));
+    std::printf("host ceiling: scalar MAC loop %.1f Mmac/s, memcpy "
+                "%.2f GB/s (%.1f Mmac/s at 16 B per MAC)\n\n",
+                ceiling.scalarMacMmacsPerS, ceiling.memcpyGbPerS,
+                ceiling.memcpyMmacsPerS);
+    auto hostEntry = [&](const char *metric, double value,
+                         const char *unit) {
+        entries.push(json::Value::object()
+                         .set("section", "host")
+                         .set("name", "ceiling")
+                         .set("metric", metric)
+                         .set("value", value)
+                         .set("unit", unit));
+    };
+    hostEntry("scalar_mac_mmacs_per_s", ceiling.scalarMacMmacsPerS,
+              "Mmac/s");
+    hostEntry("memcpy_gb_per_s", ceiling.memcpyGbPerS, "GB/s");
+    hostEntry("memcpy_mmacs_per_s", ceiling.memcpyMmacsPerS, "Mmac/s");
+
     std::printf("interpreter throughput (scale %u, reps %u, "
                 "Mmac/s per path, median over reps)\n",
                 scale, reps);
-    std::printf("%-18s %9s %9s %9s %9s %9s %9s %9s\n", "workload",
-                "Mmacs", "legacy", "switch", "threaded", "special",
-                "speedup", "build ms");
+    std::printf("%-18s %9s %9s %9s %9s %9s %9s %9s %7s %7s\n",
+                "workload", "Mmacs", "legacy", "switch", "threaded",
+                "special", "speedup", "build ms", "/scalar", "/memcpy");
 
     // The product tables must be built at most once per distinct
     // memoizable config for the whole process: the workload set has
@@ -380,12 +472,18 @@ main(int argc, char **argv)
             smokeSpeedup = speedup;
         if (w.name == "baseline_fc_16b")
             speedup16b = speedup;
-        std::printf(
-            "%-18s %9.2f %9.1f %9.1f %9.1f %9.1f %8.1fx %9.2f%s\n",
-            w.name.c_str(), mmacs, rate(r.legacy.medianMs),
-            rate(r.tier[0].medianMs), rate(r.tier[1].medianMs),
-            rate(r.tier[spec].medianMs), speedup, r.planBuildMs,
-            r.parity ? "" : "  PARITY MISMATCH");
+        // The fused path as a fraction of the host ceiling.
+        const double fracScalar =
+            rate(r.tier[spec].medianMs) / ceiling.scalarMacMmacsPerS;
+        const double fracMemcpy =
+            rate(r.tier[spec].medianMs) / ceiling.memcpyMmacsPerS;
+        std::printf("%-18s %9.2f %9.1f %9.1f %9.1f %9.1f %8.1fx %9.2f "
+                    "%7.2f %7.2f%s\n",
+                    w.name.c_str(), mmacs, rate(r.legacy.medianMs),
+                    rate(r.tier[0].medianMs), rate(r.tier[1].medianMs),
+                    rate(r.tier[spec].medianMs), speedup, r.planBuildMs,
+                    fracScalar, fracMemcpy,
+                    r.parity ? "" : "  PARITY MISMATCH");
 
         auto entry = [&](const std::string &metric, double value,
                          const char *unit) {
@@ -423,6 +521,8 @@ main(int argc, char **argv)
                   ? r.legacy.medianMs / r.tier[1].medianMs
                   : 0,
               "x");
+        entry("ceiling_frac_scalar_mac", fracScalar, "ratio");
+        entry("ceiling_frac_memcpy", fracMemcpy, "ratio");
         entry("plan_build_ms", r.planBuildMs, "ms");
         entry("stats_parity", r.parity ? 1 : 0, "bool");
         // Marks which MAC regime ran: memoized product table vs the

@@ -11,9 +11,9 @@
  *    dispatch tables); falls back to the switch loop on compilers
  *    without the extension.
  *  - Specialized: threaded dispatch over the program whose innermost
- *    RdBuf/RdBuf/Mac reduction nest was fused at lowering time into
- *    a per-config template-specialized SIMD kernel
- *    (src/isa/exec_kernels.h).
+ *    RdBuf/RdBuf/Mac reduction nest, with the output loops around
+ *    it where allowed, was fused at lowering time into one
+ *    output-tile kernel call (src/isa/exec_kernels.h).
  *
  * Every tier is bit-identical to Interpreter::runLegacy in memory,
  * scratchpad, and InterpStats terms; the parity suite in

@@ -180,14 +180,8 @@ ExecPlan::build(const InstructionBlock &block)
     }
     const unsigned depth = static_cast<unsigned>(plan->iters_.size());
 
-    // Pre/post body spans per nest level: levels[l] runs inside
-    // loops 0..l-1 (levels[0] is the block prologue/epilogue). This
-    // is a build-time view; the plan stores the linearized program.
-    struct Level
-    {
-        std::vector<CodeOp> pre;
-        std::vector<CodeOp> post;
-    };
+    // Pre/post body spans per nest level; the plan stores only the
+    // linearized program.
     std::vector<Level> levels(depth + 1);
 
     for (const Instruction &inst : block.instructions) {
@@ -329,14 +323,15 @@ ExecPlan::build(const InstructionBlock &block)
     // The compiler's MAC reduction is an innermost body of exactly
     // {RdBuf(Ibuf), RdBuf(Wbuf)} (either order) followed by Mac,
     // wrapped in loops whose intermediate levels carry no other ops.
-    // That whole sub-nest collapses into one FusedMac op bound to a
-    // per-config kernel. Fusion is vetoed when anything outside the
+    // That whole sub-nest collapses into one FusedMac op bound to an
+    // output-tile kernel. Fusion is vetoed when anything outside the
     // nest touches the operand buffers' counters or scratchpads in a
     // way the kernel would not reproduce:
     //  - another RdBuf/WrBuf on Ibuf/Wbuf outside the fused body
     //    (their addresses share the fused access expressions);
     //  - any other address expression referencing a fused loop (the
     //    fused program never advances those counters).
+    // bindFusedTile then widens the op over enclosing output loops.
     const unsigned IBv = static_cast<unsigned>(BufferId::Ibuf);
     const unsigned WBv = static_cast<unsigned>(BufferId::Wbuf);
     const unsigned ACCv = static_cast<unsigned>(AddrSpace::BufAccess);
@@ -380,54 +375,8 @@ ExecPlan::build(const InstructionBlock &block)
                 }
             }
 
-            if (ok) {
-                FusedNest &f = plan->fused_;
-                f.firstLoop = g;
-                f.dims = depth - g;
-                std::int64_t aMin, aMax, wMin, wMax;
-                operandRanges(block.config, aMin, aMax, wMin, wMax);
-                f.proto.dims = f.dims;
-                f.proto.aMin = aMin;
-                f.proto.aMax = aMax;
-                f.proto.wMin = wMin;
-                f.proto.wMax = wMax;
-                const AddrExpr &aAcc = plan->exprs_[IBv][ACCv];
-                const AddrExpr &wAcc = plan->exprs_[WBv][ACCv];
-                f.aOuter.base = aAcc.base;
-                for (const AddrTerm &t : aAcc.terms) {
-                    if (t.depth >= g)
-                        f.proto.aStride[t.depth - g] += t.stride;
-                    else
-                        f.aOuter.terms.push_back(t);
-                }
-                f.wOuter.base = wAcc.base;
-                for (const AddrTerm &t : wAcc.terms) {
-                    if (t.depth >= g)
-                        f.proto.wStride[t.depth - g] += t.stride;
-                    else
-                        f.wOuter.terms.push_back(t);
-                }
-                f.total = 1;
-                for (unsigned d = 0; d < f.dims; ++d) {
-                    const std::uint64_t it = plan->iters_[g + d];
-                    f.proto.iters[d] = it;
-                    f.total *= it;
-                    if (it > 0) {
-                        f.lastOffA += (it - 1) * f.proto.aStride[d];
-                        f.lastOffW += (it - 1) * f.proto.wStride[d];
-                    }
-                }
-                f.kernel = selectMacNestKernel(block.config);
-                f.opsPerMac =
-                    plan->memo_
-                        ? plan->memo_->opsPerMac
-                        : decomposeMultiply(0, 0, block.config).size();
-                plan->kernelName_ =
-                    "mac" + std::to_string(block.config.aBits) +
-                    (block.config.aSigned ? "s" : "u") + "." +
-                    std::to_string(block.config.wBits) +
-                    (block.config.wSigned ? "s" : "u");
-            }
+            if (ok)
+                plan->bindFusedTile(levels, g);
         }
     }
 
@@ -483,6 +432,121 @@ ExecPlan::build(const InstructionBlock &block)
         plan->fusedCode_ = emitProgram(true);
 
     return plan;
+}
+
+void
+ExecPlan::bindFusedTile(const std::vector<Level> &levels, unsigned g)
+{
+    const unsigned IBv = static_cast<unsigned>(BufferId::Ibuf);
+    const unsigned WBv = static_cast<unsigned>(BufferId::Wbuf);
+    const unsigned OBv = static_cast<unsigned>(BufferId::Obuf);
+    const unsigned ACCv = static_cast<unsigned>(AddrSpace::BufAccess);
+    FusedNest &f = fused_;
+    f.dims = depth() - g;
+    std::uint64_t reduction = 1;
+    for (unsigned d = g; d < depth(); ++d)
+        reduction *= iters_[d];
+
+    // Output-loop absorption. The reduction's own level must be
+    // exactly the accumulator's per-output read and write-back, and
+    // nothing else may access Obuf (its access expression references
+    // the absorbed loops, whose counters the fused program never
+    // advances). A zero-trip reduction stays unabsorbed: its
+    // per-output RdBuf/WrBuf still run. Each absorbed loop's own body
+    // level must be empty (apart from the reduction's), and no Mem or
+    // BufFill expression may reference it.
+    auto accumulatorOnly = [&](const std::vector<CodeOp> &span,
+                               OpKind kind) {
+        return span.size() == 1 && span[0].kind == kind &&
+               span[0].buf == OBv;
+    };
+    bool absorb = g > 0 && reduction > 0 &&
+                  accumulatorOnly(levels[g].pre, OpKind::RdBuf) &&
+                  accumulatorOnly(levels[g].post, OpKind::WrBuf);
+    for (unsigned l = 0; l < g && absorb; ++l) {
+        for (const auto *span : {&levels[l].pre, &levels[l].post}) {
+            for (const CodeOp &op : *span) {
+                if ((op.kind == OpKind::RdBuf ||
+                     op.kind == OpKind::WrBuf) &&
+                    op.buf == OBv)
+                    absorb = false;
+            }
+        }
+    }
+    unsigned first = g;
+    while (absorb && first > 0 && g - first < kMaxOutDims) {
+        const unsigned loop = first - 1;
+        const Level &body = levels[loop + 1];
+        if (loop + 1 < g && (!body.pre.empty() || !body.post.empty()))
+            break;
+        bool referenced = false;
+        for (unsigned b = 0; b < 3; ++b)
+            for (AddrSpace sp : {AddrSpace::Mem, AddrSpace::BufFill})
+                for (const AddrTerm &t :
+                     exprs_[b][static_cast<unsigned>(sp)].terms)
+                    referenced = referenced || t.depth == loop;
+        if (referenced)
+            break;
+        first = loop;
+    }
+    f.firstLoop = first;
+    f.outDims = g - first;
+
+    MacTileArgs &p = f.proto;
+    p.dims = f.dims;
+    p.outDims = f.outDims;
+    operandRanges(config_, p.aMin, p.aMax, p.wMin, p.wMax);
+    // Split an access expression into the tile's output and
+    // reduction strides and the outer part evaluated per dispatch.
+    // (Obuf's expression references no reduction loop: any other
+    // expression that does vetoes fusion outright.)
+    auto split = [&](const AddrExpr &e, AddrExpr &outer,
+                     std::uint64_t *out, std::uint64_t *red) {
+        outer.base = e.base;
+        for (const AddrTerm &t : e.terms) {
+            if (t.depth >= g)
+                red[t.depth - g] += t.stride;
+            else if (t.depth >= first)
+                out[t.depth - first] += t.stride;
+            else
+                outer.terms.push_back(t);
+        }
+    };
+    split(exprs_[IBv][ACCv], f.aOuter, p.aOut, p.aStride);
+    split(exprs_[WBv][ACCv], f.wOuter, p.wOut, p.wStride);
+    if (f.outDims > 0) {
+        std::uint64_t none[kMaxFusedDims] = {0, 0, 0, 0};
+        split(exprs_[OBv][ACCv], f.oOuter, p.oOut, none);
+    }
+
+    // Strides are non-negative, so the last iteration touches the
+    // largest address of every operand.
+    for (unsigned d = 0; d < f.outDims; ++d) {
+        const std::uint64_t it = iters_[first + d];
+        p.outIters[d] = it;
+        f.outputs *= it;
+        if (it > 0) {
+            f.lastOffA += (it - 1) * p.aOut[d];
+            f.lastOffW += (it - 1) * p.wOut[d];
+            f.lastOffO += (it - 1) * p.oOut[d];
+        }
+    }
+    for (unsigned d = 0; d < f.dims; ++d) {
+        const std::uint64_t it = iters_[g + d];
+        p.iters[d] = it;
+        if (it > 0) {
+            f.lastOffA += (it - 1) * p.aStride[d];
+            f.lastOffW += (it - 1) * p.wStride[d];
+        }
+    }
+    f.total = f.outputs * reduction;
+    f.kernel = macTileKernel(p, hostHasAvx2());
+    f.opsPerMac = memo_ ? memo_->opsPerMac
+                        : decomposeMultiply(0, 0, config_).size();
+    kernelName_ = "mac" + std::to_string(config_.aBits) +
+                  (config_.aSigned ? "s" : "u") + "." +
+                  std::to_string(config_.wBits) +
+                  (config_.wSigned ? "s" : "u");
 }
 
 // ----------------------------------------------------------- execution
@@ -652,39 +716,51 @@ inline void
 ExecPlan::doFusedMac(Runtime &rt) const
 {
     const FusedNest &f = fused_;
-    std::uint64_t aBase = f.aOuter.base;
-    for (const AddrTerm &t : f.aOuter.terms)
-        aBase += rt.pos[t.depth] * t.stride;
-    std::uint64_t wBase = f.wOuter.base;
-    for (const AddrTerm &t : f.wOuter.terms)
-        wBase += rt.pos[t.depth] * t.stride;
-
+    auto outerAddr = [&rt](const AddrExpr &e) {
+        std::uint64_t addr = e.base;
+        for (const AddrTerm &t : e.terms)
+            addr += rt.pos[t.depth] * t.stride;
+        return addr;
+    };
     const unsigned ib = static_cast<unsigned>(BufferId::Ibuf);
     const unsigned wb = static_cast<unsigned>(BufferId::Wbuf);
+    const unsigned ob = static_cast<unsigned>(BufferId::Obuf);
     const auto &ibuf = rt.buffers[ib];
     const auto &wbuf = rt.buffers[wb];
-    // One bounds check per operand per dispatch instead of one per
-    // element (addresses are monotone in the fused counters).
+    auto &obuf = rt.buffers[ob];
+    const std::uint64_t aBase = outerAddr(f.aOuter);
+    const std::uint64_t wBase = outerAddr(f.wOuter);
+    const std::uint64_t oBase = f.outDims > 0 ? outerAddr(f.oOuter) : 0;
+    // One bounds check per buffer per tile instead of one per element
+    // (addresses are monotone in the fused counters).
     BF_ASSERT(aBase + f.lastOffA < ibuf.size(),
               "rd-buf beyond planned size");
     BF_ASSERT(wBase + f.lastOffW < wbuf.size(),
               "rd-buf beyond planned size");
+    BF_ASSERT(f.outDims == 0 || oBase + f.lastOffO < obuf.size(),
+              "wr-buf beyond planned size");
 
-    MacNestArgs args = f.proto;
+    MacTileArgs args = f.proto;
     args.a = ibuf.data() + aBase;
     args.w = wbuf.data() + wBase;
-    std::uint64_t bad = 0;
-    const std::uint64_t acc = f.kernel(args, bad);
-    if (bad != 0)
+    // Without output loops the tile is the accumulator register.
+    std::int64_t acc = rt.regOut;
+    args.o = f.outDims > 0 ? obuf.data() + oBase : &acc;
+    if (f.kernel(args))
         reportUnrepresentable(args, config_); // [[noreturn]]
 
-    // Same observable end-state as per-element execution: the operand
-    // registers hold the last elements read, and the accumulator adds
-    // the (wraparound-exact) product sum.
+    // Same observable end state as per-element execution: the operand
+    // registers hold the last elements read, and the accumulator the
+    // value the walk wrote last, at the last output address.
     rt.regIn = args.a[f.lastOffA];
     rt.regWgt = args.w[f.lastOffW];
-    rt.regOut = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(rt.regOut) + acc);
+    rt.regOut = args.o[f.lastOffO];
+    if (f.outDims > 0) {
+        rt.stats.bufReads[ob] += f.outputs;
+        rt.stats.bufWrites[ob] += f.outputs;
+        rt.stats.bufHighWater[ob] = std::max<std::uint64_t>(
+            rt.stats.bufHighWater[ob], oBase + f.lastOffO + 1);
+    }
     rt.stats.bufReads[ib] += f.total;
     rt.stats.bufReads[wb] += f.total;
     rt.stats.macs += f.total;

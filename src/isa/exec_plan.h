@@ -15,11 +15,11 @@
  *  - every gen-addr expression is resolved to (loop depth, stride)
  *    terms evaluated against a dense iteration-counter array;
  *  - the compiler's innermost RdBuf/RdBuf/Mac reduction nest is
- *    recognized at lowering time and bound to a per-(aBits, wBits,
- *    signedness) template-specialized SIMD kernel
- *    (src/isa/exec_kernels.h) that executes the whole nest per
- *    dispatch -- including the 16-bit and mixed-width configs the
- *    memo table cannot cover;
+ *    recognized at lowering time, together with up to three enclosing
+ *    output loops whose only body is the accumulator's RdBuf/WrBuf,
+ *    and bound to an output-tile kernel (src/isa/exec_kernels.h)
+ *    that executes the whole tile per dispatch -- including the
+ *    16-bit and mixed-width configs the memo table cannot cover;
  *  - scratchpad sizes come from a static high-water analysis, so the
  *    hot loop never calls resize;
  *  - ld-mem / st-mem move whole rows through MemoryModel spans (one
@@ -153,8 +153,15 @@ class ExecPlan
      */
     bool fused() const { return fused_.dims > 0; }
 
-    /** Loop dimensions the fused kernel covers (0 when unfused). */
+    /** Reduction loops the fused kernel covers (0 when unfused). */
     unsigned fusedDims() const { return fused_.dims; }
+
+    /**
+     * Output loops absorbed into the fused kernel: one dispatch then
+     * computes a whole output tile (3 on the compiler's conv: toc,
+     * oy, ox; 1 on FC/LSTM/RNN: oc; 0 when unfused or vetoed).
+     */
+    unsigned fusedOutDims() const { return fused_.outDims; }
 
     /** Fused-kernel identifier like "mac8u.8s" ("" when unfused). */
     const std::string &kernelName() const { return kernelName_; }
@@ -222,27 +229,45 @@ class ExecPlan
         bool activate = false;
     };
 
-    /** The fused reduction nest: everything static precomputed. */
+    /** The fused output tile: everything static precomputed. */
     struct FusedNest
     {
-        /** Loops [firstLoop, depth) the kernel covers; dims == 0
-         *  means no nest was recognized. */
+        /** First loop the FusedMac op replaces: the outermost
+         *  absorbed output loop, else the reduction's first loop. */
         unsigned firstLoop = 0;
+        /** Reduction loops; dims == 0 means no nest was recognized. */
         unsigned dims = 0;
-        /** Total MACs per dispatch (0 skips the op entirely). */
+        /** Absorbed output loops (0: the op accumulates into regOut
+         *  and the per-output RdBuf/WrBuf stay separate ops). */
+        unsigned outDims = 0;
+        /** Outputs and MACs per dispatch (0 MACs skips the op). */
+        std::uint64_t outputs = 1;
         std::uint64_t total = 0;
         /** bitBrickOps per MAC (value-independent). */
         std::uint64_t opsPerMac = 0;
-        /** Offset of the last element read per operand side. */
-        std::uint64_t lastOffA = 0, lastOffW = 0;
+        /** Offset of the last element read (a, w) or written (o). */
+        std::uint64_t lastOffA = 0, lastOffW = 0, lastOffO = 0;
         /** Outer-loop parts of the operand access expressions. */
-        AddrExpr aOuter, wOuter;
-        /** Iteration-space prototype (pointers patched per call). */
-        MacNestArgs proto;
-        MacNestFn kernel = nullptr;
+        AddrExpr aOuter, wOuter, oOuter;
+        /** Tile shape prototype (pointers patched per call). */
+        MacTileArgs proto;
+        MacTileFn kernel = nullptr;
+    };
+
+    /** Build-time view of one nest level's body: levels[l] runs
+     *  inside loops 0..l-1 (levels[0] is the block prologue and
+     *  epilogue). */
+    struct Level
+    {
+        std::vector<CodeOp> pre;
+        std::vector<CodeOp> post;
     };
 
     struct Runtime;
+
+    /** Bind the recognized reduction nest starting at loop @p g,
+     *  absorbing the output loops around it where allowed. */
+    void bindFusedTile(const std::vector<Level> &levels, unsigned g);
 
     std::uint64_t evalMax(const AddrExpr &e) const;
     void transfer(const CodeOp &op, bool to_buffer, Runtime &rt) const;

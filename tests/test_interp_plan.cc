@@ -28,11 +28,13 @@
 #include <vector>
 
 #include "src/arch/decompose.h"
+#include "src/common/bitutils.h"
 #include "src/common/prng.h"
 #include "src/compiler/codegen.h"
 #include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/tensor.h"
+#include "src/isa/exec_kernels.h"
 #include "src/isa/exec_plan.h"
 #include "src/isa/interpreter.h"
 #include "src/isa/memory.h"
@@ -243,48 +245,106 @@ TEST(PlanParity, ModelZooStatsAndMemoryIdentical)
 
 // --------------------------------------- compiler-emitted blocks
 
+/** A compiler-emitted conv block and the memory image it runs on. */
+struct ConvCase
+{
+    InstructionBlock block;
+    BlockBases bases;
+    MemoryModel mem;
+};
+
+/**
+ * Emit @p layer as a conv block (output tile @p outTile, fused
+ * activation) over random representable inputs and weights drawn
+ * from @p seed; the padded input border stays zero.
+ */
+ConvCase
+seededConv(const Layer &layer, unsigned seed, std::uint64_t outTile = 3)
+{
+    const FusionConfig &cfg = layer.bits;
+    Prng prng(seed);
+    Tensor input(layer.inC, layer.inH, layer.inW);
+    input.fillRandom(prng, cfg.aBits, cfg.aSigned);
+    Tensor weights(layer.weightCount());
+    weights.fillRandom(prng, cfg.wBits, cfg.wSigned);
+
+    ConvCase c;
+    MemoryModel &mem = c.mem;
+    const unsigned hp = layer.inH + 2 * layer.pad;
+    const unsigned wp = layer.inW + 2 * layer.pad;
+    c.bases.input =
+        mem.allocate(static_cast<std::size_t>(layer.inC) * hp * wp);
+    for (unsigned ch = 0; ch < layer.inC; ++ch)
+        for (unsigned y = 0; y < layer.inH; ++y)
+            for (unsigned x = 0; x < layer.inW; ++x)
+                mem.write(c.bases.input +
+                              (static_cast<std::uint64_t>(ch) * hp +
+                               (y + layer.pad)) *
+                                  wp +
+                              (x + layer.pad),
+                          input.at(ch, y, x));
+    c.bases.weights = mem.allocate(weights.size());
+    for (std::size_t i = 0; i < weights.size(); ++i)
+        mem.write(c.bases.weights + i, weights[i]);
+    c.bases.output = mem.allocate(layer.outputCount());
+
+    ActFusion act;
+    act.enabled = true;
+    act.shift = 3;
+    act.outBits = 8;
+    c.block = Compiler(batch1Config())
+                  .emitConv(layer, c.bases, outTile, act);
+    return c;
+}
+
 TEST(PlanParity, RandomConvBlocksAllConfigs)
 {
-    const Compiler compiler(batch1Config());
     const FusionConfig cfgs[] = {zoo::cfg1x1(), zoo::cfg2x2(),
                                  zoo::cfg4x1(), zoo::cfg4x4(),
                                  zoo::cfg8x8(), zoo::cfg16x16()};
     unsigned seed = 500;
     for (const FusionConfig &cfg : cfgs) {
-        const Layer layer =
-            Layer::conv("c", 4, 7, 7, 6, 3, 1, 1, cfg, 2);
-        Prng prng(++seed);
-        Tensor input(layer.inC, layer.inH, layer.inW);
-        input.fillRandom(prng, cfg.aBits, cfg.aSigned);
-        Tensor weights(layer.weightCount());
-        weights.fillRandom(prng, cfg.wBits, cfg.wSigned);
+        const ConvCase c = seededConv(
+            Layer::conv("c", 4, 7, 7, 6, 3, 1, 1, cfg, 2), ++seed);
+        checkBlockParity(c.block, c.mem, "conv " + cfg.toString());
+    }
+}
 
-        MemoryModel mem;
-        BlockBases bases;
-        const unsigned hp = layer.inH + 2 * layer.pad;
-        const unsigned wp = layer.inW + 2 * layer.pad;
-        bases.input = mem.allocate(
-            static_cast<std::size_t>(layer.inC) * hp * wp);
-        for (unsigned c = 0; c < layer.inC; ++c)
-            for (unsigned y = 0; y < layer.inH; ++y)
-                for (unsigned x = 0; x < layer.inW; ++x)
-                    mem.write(bases.input +
-                                  (static_cast<std::uint64_t>(c) * hp +
-                                   (y + layer.pad)) *
-                                      wp +
-                                  (x + layer.pad),
-                              input.at(c, y, x));
-        bases.weights = mem.allocate(weights.size());
-        for (std::size_t i = 0; i < weights.size(); ++i)
-            mem.write(bases.weights + i, weights[i]);
-        bases.output = mem.allocate(layer.outputCount());
-
-        ActFusion act;
-        act.enabled = true;
-        act.shift = 3;
-        act.outBits = 8;
-        checkBlockParity(compiler.emitConv(layer, bases, 3, act), mem,
-                         "conv " + cfg.toString());
+TEST(PlanParity, StridedAndGroupedConvTiles)
+{
+    // Strided rows take the gather path of the row kernel; wide
+    // stride-1 rows take full vector blocks plus a masked tail; groups
+    // move the tile's operand bases per group. Every shape must
+    // absorb all three output loops and stay bit-identical.
+    struct Shape
+    {
+        unsigned inC, in, outC, k, stride, pad, groups;
+    };
+    const Shape shapes[] = {
+        {3, 39, 8, 11, 4, 0, 1}, // AlexNet conv1 style
+        {4, 17, 6, 3, 2, 1, 1},
+        {4, 17, 6, 3, 2, 1, 2},
+        {6, 21, 6, 5, 1, 2, 3}, // 21-wide rows: 16 + 5
+        {2, 14, 2, 3, 1, 1, 1}, // 14-wide rows: 3 vectors + 2 lanes
+        {4, 9, 4, 1, 1, 0, 2},  // 1x1 grouped
+    };
+    const FusionConfig cfgs[] = {zoo::cfg8x8(), zoo::cfg4x1(),
+                                 zoo::cfg16x16()};
+    unsigned seed = 900;
+    for (const Shape &sh : shapes) {
+        for (const FusionConfig &cfg : cfgs) {
+            const Layer layer =
+                Layer::conv("c", sh.inC, sh.in, sh.in, sh.outC, sh.k,
+                            sh.stride, sh.pad, cfg, sh.groups);
+            const ConvCase c = seededConv(layer, ++seed, 2);
+            const std::string what =
+                "conv k" + std::to_string(sh.k) + " s" +
+                std::to_string(sh.stride) + " g" +
+                std::to_string(sh.groups) + " " + cfg.toString();
+            const auto plan = ExecPlan::build(c.block);
+            EXPECT_EQ(plan->fusedOutDims(), 3u) << what;
+            checkBlockParity(c.block, c.mem, what);
+        }
     }
 }
 
@@ -463,12 +523,17 @@ fuzzBlock(Prng &prng, MemoryModel &mem)
 TEST(PlanParity, FuzzedBlocks)
 {
     Prng prng(20260731);
+    unsigned tiles = 0;
     for (unsigned round = 0; round < 60; ++round) {
         MemoryModel mem;
         const InstructionBlock block = fuzzBlock(prng, mem);
+        tiles += ExecPlan::build(block)->fusedOutDims() > 0 ? 1 : 0;
         checkBlockParity(block, mem,
                          "fuzz round " + std::to_string(round));
     }
+    // The corpus must reach the output-tile kernels, aliased and
+    // zero-stride accumulator addresses included.
+    EXPECT_GT(tiles, 10u);
 }
 
 TEST(PlanParity, ZeroTripLoopRunsPrologueAndEpilogueOnly)
@@ -620,6 +685,8 @@ TEST(ExecPlanFusion, CompilerConvNestIsFused)
     // The conv reduction nest is icpg x kH x kW.
     EXPECT_TRUE(plan->fused());
     EXPECT_EQ(plan->fusedDims(), 3u);
+    // One dispatch covers the whole toc x oh x ow output tile.
+    EXPECT_EQ(plan->fusedOutDims(), 3u);
     EXPECT_EQ(plan->kernelName(), "mac8u.8s");
     EXPECT_TRUE(plan->memoized());
 }
@@ -640,6 +707,8 @@ TEST(ExecPlanFusion, CompilerFcNestIsFusedOnEveryWidth)
     const auto p8 = fcPlan(zoo::cfg8x8());
     EXPECT_TRUE(p8->fused());
     EXPECT_EQ(p8->fusedDims(), 1u);
+    // The oc loop is absorbed; t_ic's level carries the tile DMAs.
+    EXPECT_EQ(p8->fusedOutDims(), 1u);
     EXPECT_TRUE(p8->memoized());
     EXPECT_EQ(p8->kernelName(), "mac8u.8s");
 
@@ -648,6 +717,7 @@ TEST(ExecPlanFusion, CompilerFcNestIsFusedOnEveryWidth)
     const auto p16 = fcPlan(zoo::cfg16x16());
     EXPECT_TRUE(p16->fused());
     EXPECT_EQ(p16->fusedDims(), 1u);
+    EXPECT_EQ(p16->fusedOutDims(), 1u);
     EXPECT_FALSE(p16->memoized());
     EXPECT_EQ(p16->kernelName(), "mac16s.16s");
 
@@ -691,6 +761,7 @@ TEST(ExecPlanFusion, PoolingBodyIsNotFused)
     const auto plan = ExecPlan::build(b);
     EXPECT_FALSE(plan->fused());
     EXPECT_EQ(plan->fusedDims(), 0u);
+    EXPECT_EQ(plan->fusedOutDims(), 0u);
     EXPECT_EQ(plan->kernelName(), "");
     checkBlockParity(b, mem, "pool");
 }
@@ -744,6 +815,9 @@ TEST(PlanParity, RegistersObservableAfterFusedNest)
     const auto plan = ExecPlan::build(b);
     EXPECT_TRUE(plan->fused());
     EXPECT_EQ(plan->fusedDims(), 1u);
+    // The observer MAC shares the accumulator's level, so the output
+    // loop stays outside the fused op.
+    EXPECT_EQ(plan->fusedOutDims(), 0u);
     checkBlockParity(b, mem, "register-observer");
 
     // Spell the expectation out: output 1 is (regIn * regWgt after
@@ -797,6 +871,9 @@ TEST(PlanParity, ZeroTripFusedNestExecutesNothing)
 
     const auto plan = ExecPlan::build(b);
     EXPECT_TRUE(plan->fused());
+    // The zero-trip reduction keeps its output loop unabsorbed: the
+    // per-output rd-buf/wr-buf of the accumulator still run.
+    EXPECT_EQ(plan->fusedOutDims(), 0u);
     checkBlockParity(b, mem, "zero-trip-fused");
 
     MemoryModel specMem = mem;
@@ -805,6 +882,158 @@ TEST(PlanParity, ZeroTripFusedNestExecutesNothing)
     EXPECT_EQ(interp.stats().macs, 0u);
     EXPECT_EQ(interp.stats().bufReads[0], 0u);
     EXPECT_EQ(interp.stats().bufReads[2], 0u);
+    EXPECT_EQ(interp.stats().bufReads[1], 2u);
+    EXPECT_EQ(interp.stats().bufWrites[1], 2u);
+}
+
+/** (loop position, stride) term of a hand-built access expression. */
+struct Term
+{
+    unsigned loop;
+    std::uint64_t stride;
+};
+
+/**
+ * A hand-built 8x8 MAC block: loops of @p iters (ids are positions),
+ * the accumulator read and written back at level @p obLevel, operand
+ * reads and the MAC at the innermost level, with the given access
+ * terms. Each buffer is loaded once in the prologue from random
+ * representable memory drawn from @p seed (random initial
+ * accumulators) and stored back in the epilogue.
+ */
+InstructionBlock
+handTile(const std::vector<std::uint64_t> &iters, unsigned obLevel,
+         const std::vector<Term> &ib, const std::vector<Term> &wb,
+         const std::vector<Term> &ob, unsigned seed, MemoryModel &mem)
+{
+    const FusionConfig cfg = zoo::cfg8x8();
+    const auto IB = BufferId::Ibuf;
+    const auto OB = BufferId::Obuf;
+    const auto WB = BufferId::Wbuf;
+    InstructionBlock b;
+    b.name = "hand-tile";
+    b.config = cfg;
+    auto &ins = b.instructions;
+    ins.push_back(Instruction::setup(cfg.aBits, cfg.wBits, cfg.aSigned,
+                                     cfg.wSigned));
+    for (unsigned d = 0; d < iters.size(); ++d)
+        ins.push_back(Instruction::loop(d, iters[d]));
+    auto access = [&](BufferId buf, const std::vector<Term> &terms) {
+        std::uint64_t top = 0;
+        for (const Term &t : terms) {
+            ins.push_back(Instruction::genAddr(buf, AddrSpace::BufAccess,
+                                               t.loop, t.stride));
+            top += (iters[t.loop] - 1) * t.stride;
+        }
+        return top + 1;
+    };
+    const std::uint64_t ibN = access(IB, ib);
+    const std::uint64_t wbN = access(WB, wb);
+    const std::uint64_t obN = access(OB, ob);
+
+    const std::uint64_t ibBase = mem.allocate(ibN);
+    const std::uint64_t obBase = mem.allocate(obN);
+    const std::uint64_t wbBase = mem.allocate(wbN);
+    b.baseAddr = {ibBase, obBase, wbBase};
+    Prng prng(seed);
+    for (std::uint64_t i = 0; i < ibN; ++i)
+        mem.write(ibBase + i, prng.nextUnsigned(cfg.aBits));
+    for (std::uint64_t i = 0; i < wbN; ++i)
+        mem.write(wbBase + i, prng.nextSigned(cfg.wBits));
+    for (std::uint64_t i = 0; i < obN; ++i)
+        mem.write(obBase + i, prng.nextSigned(20));
+
+    const unsigned depth = static_cast<unsigned>(iters.size());
+    ins.push_back(Instruction::ldMem(IB, 0, ibN));
+    ins.push_back(Instruction::ldMem(WB, 0, wbN));
+    ins.push_back(Instruction::ldMem(OB, 0, obN));
+    ins.push_back(Instruction::rdBuf(OB, obLevel));
+    ins.push_back(Instruction::rdBuf(IB, depth));
+    ins.push_back(Instruction::rdBuf(WB, depth));
+    ins.push_back(Instruction::compute(ComputeFn::Mac, depth));
+    ins.push_back(Instruction::wrBuf(OB, obLevel, true));
+    ins.push_back(Instruction::stMem(OB, 0, obN, true));
+    ins.push_back(Instruction::blockEnd(0));
+    b.validate();
+    return b;
+}
+
+TEST(PlanParity, AliasedOutputTiles)
+{
+    // Outputs whose accumulator addresses coincide (an Obuf stride of
+    // 0 over an output loop) must add up as the sequential walk does:
+    // each output's sum lands on the value the previous one wrote.
+    struct Case
+    {
+        const char *what;
+        std::vector<std::uint64_t> iters;
+        unsigned obLevel;
+        std::vector<Term> ib, wb, ob;
+        unsigned outDims;
+    };
+    const Case cases[] = {
+        // Row order (the weight is fixed along the row), and the
+        // whole row adds into one accumulator.
+        {"row, aliased row",
+         {2, 5, 3},
+         2,
+         {{1, 1}, {2, 2}},
+         {{0, 3}, {2, 1}},
+         {{0, 1}},
+         2},
+        // Dot order (the weight moves along the innermost output
+        // loop), aliased over the outer output loop.
+        {"dot, aliased outer loop",
+         {3, 4, 5},
+         2,
+         {{2, 1}},
+         {{1, 5}, {2, 1}},
+         {{1, 1}},
+         2},
+        // Three absorbed output loops, every output at address 0.
+        {"row, one accumulator",
+         {2, 3, 6, 4},
+         3,
+         {{0, 1}, {1, 2}, {2, 1}, {3, 1}},
+         {{3, 1}},
+         {},
+         3},
+    };
+    unsigned seed = 70;
+    for (const Case &c : cases) {
+        MemoryModel mem;
+        const InstructionBlock b =
+            handTile(c.iters, c.obLevel, c.ib, c.wb, c.ob, ++seed, mem);
+        const auto plan = ExecPlan::build(b);
+        EXPECT_EQ(plan->fusedOutDims(), c.outDims) << c.what;
+        checkBlockParity(b, mem, c.what);
+    }
+}
+
+TEST(ExecPlanFusion, OutputAbsorptionStopsAtBusyLevels)
+{
+    // An output loop is absorbed only while the levels between it and
+    // the reduction are empty: with a MAC next to the accumulator
+    // read nothing is absorbed, and an op one level further out
+    // stops absorption there.
+    MemoryModel mem;
+    InstructionBlock b = handTile({2, 3, 4}, 2, {{1, 1}, {2, 1}},
+                                  {{2, 1}}, {{0, 3}, {1, 1}}, 80, mem);
+    EXPECT_EQ(ExecPlan::build(b)->fusedOutDims(), 2u);
+
+    InstructionBlock busy = b;
+    auto &ins = busy.instructions;
+    ins.insert(ins.end() - 1, Instruction::compute(ComputeFn::Max, 1));
+    busy.validate();
+    EXPECT_EQ(ExecPlan::build(busy)->fusedOutDims(), 1u);
+    checkBlockParity(busy, mem, "busy level 1");
+
+    InstructionBlock beside = b;
+    beside.instructions.insert(beside.instructions.end() - 1,
+                               Instruction::compute(ComputeFn::Max, 2));
+    beside.validate();
+    EXPECT_EQ(ExecPlan::build(beside)->fusedOutDims(), 0u);
+    checkBlockParity(beside, mem, "op beside the accumulator");
 }
 
 using ExecPlanDeathTest = ::testing::Test;
@@ -830,6 +1059,230 @@ TEST(ExecPlanDeathTest, SpecializedTierRejectsUnrepresentableWeight)
     Interpreter interp(mem);
     EXPECT_DEATH(interp.run(*plan, DispatchTier::Specialized),
                  "not representable");
+}
+
+/**
+ * Run @p c on the reference walk and on the Specialized tier; both
+ * must die with a message matching @p pattern.
+ */
+void
+expectSameDeath(const ConvCase &c, const std::string &pattern)
+{
+    const auto plan = ExecPlan::build(c.block);
+    ASSERT_EQ(plan->fusedOutDims(), 3u);
+    EXPECT_DEATH(
+        {
+            MemoryModel mem = c.mem;
+            Interpreter legacy(mem);
+            legacy.runLegacy(c.block);
+        },
+        pattern);
+    EXPECT_DEATH(
+        {
+            MemoryModel mem = c.mem;
+            Interpreter interp(mem);
+            interp.run(*plan, DispatchTier::Specialized);
+        },
+        pattern);
+}
+
+TEST(ExecPlanDeathTest, ConvTileRejectsOperandsOneStepOutOfRange)
+{
+    // One step past either end of each operand's range, activations
+    // at a column inside a full vector block and at the last column
+    // of a 21-wide stride-1 row (16 + 5 outputs), must fail like the
+    // reference walk. Unsigned (8x8) and signed (16x16) activations.
+    unsigned seed = 1000;
+    for (const FusionConfig &cfg : {zoo::cfg8x8(), zoo::cfg16x16()}) {
+        const Layer layer = Layer::conv("c", 2, 21, 21, 2, 3, 1, 1, cfg);
+        const std::int64_t aMin =
+            cfg.aSigned ? signedMin(cfg.aBits) : 0;
+        const std::int64_t aMax = cfg.aSigned ? signedMax(cfg.aBits)
+                                               : unsignedMax(cfg.aBits);
+        const std::int64_t wMin =
+            cfg.wSigned ? signedMin(cfg.wBits) : 0;
+        const std::int64_t wMax = cfg.wSigned ? signedMax(cfg.wBits)
+                                               : unsignedMax(cfg.wBits);
+        const std::uint64_t wp = layer.inW + 2;
+        const std::uint64_t hp = layer.inH + 2;
+        for (std::int64_t bad : {aMax + 1, aMin - 1}) {
+            for (std::uint64_t column : {4u, 20u}) {
+                ConvCase c = seededConv(layer, ++seed);
+                // Channel 1, row 5 (padded coordinates add 1).
+                c.mem.write(c.bases.input + (1 * hp + 6) * wp + column + 1,
+                            bad);
+                expectSameDeath(c, "activation " + std::to_string(bad) +
+                                       " not representable");
+            }
+        }
+        for (std::int64_t bad : {wMax + 1, wMin - 1}) {
+            ConvCase c = seededConv(layer, ++seed);
+            c.mem.write(c.bases.weights + 7, bad);
+            expectSameDeath(c, "weight " + std::to_string(bad) +
+                                   " not representable");
+        }
+    }
+}
+
+TEST(ExecPlanDeathTest, ConvTileReportsTheFirstOffenderInWalkOrder)
+{
+    // The kernel only flags a tile; the report re-walks it in the
+    // reference order, so with two bad operands the one the walk
+    // meets first names the panic.
+    const Layer layer =
+        Layer::conv("c", 2, 21, 21, 2, 3, 1, 1, zoo::cfg8x8());
+    const std::uint64_t wp = layer.inW + 2;
+    // Output (oc 0, 0, 0) reads input (ic 0, y 0, x 0) at reduction
+    // step 4 and its last weight (index 17) at the final step.
+    ConvCase act = seededConv(layer, 1100);
+    act.mem.write(act.bases.input + 1 * wp + 1, 256);
+    act.mem.write(act.bases.weights + 17, -129);
+    expectSameDeath(act, "activation 256 not representable");
+
+    ConvCase wgt = seededConv(layer, 1101);
+    wgt.mem.write(wgt.bases.input + 1 * wp + 1, 256);
+    wgt.mem.write(wgt.bases.weights + 0, -129);
+    expectSameDeath(wgt, "weight -129 not representable");
+}
+
+// --------------------------------------------- tile kernels
+
+/** Element offsets of every iteration of a nest, in walk order. */
+std::vector<std::uint64_t>
+nestOffsets(unsigned dims, const std::uint64_t *iters,
+            const std::uint64_t *strides)
+{
+    std::vector<std::uint64_t> offs{0};
+    for (unsigned d = 0; d < dims; ++d) {
+        std::vector<std::uint64_t> next;
+        for (std::uint64_t base : offs)
+            for (std::uint64_t i = 0; i < iters[d]; ++i)
+                next.push_back(base + i * strides[d]);
+        offs = std::move(next);
+    }
+    return offs;
+}
+
+TEST(MacTileKernel, PortableAndAvx2AgreeOnRandomTiles)
+{
+    // The AVX2 kernels against the portable ones and the sequential
+    // walk, on the same random tiles: row order (the weight fixed
+    // along the innermost output loop, rows of 1..40 outputs: full
+    // vector blocks and masked tails, unit-stride and gathered) and
+    // dot order (unit-stride and strided), 1..3 output loops with
+    // aliased accumulators, 1..4-deep reductions, operands at the
+    // range ends and, in every third tile, one a step outside.
+    if (!hostHasAvx2())
+        GTEST_SKIP() << "the host CPU does not run AVX2";
+
+    Prng prng(4242);
+    unsigned rows = 0;
+    for (const FusionConfig &cfg :
+         {zoo::cfg1x1(), zoo::cfg2x2(), zoo::cfg4x1(), zoo::cfg4x4(),
+          zoo::cfg8x8(), zoo::cfg16x16()}) {
+        MacTileArgs t;
+        t.aMin = cfg.aSigned ? signedMin(cfg.aBits) : 0;
+        t.aMax = cfg.aSigned ? signedMax(cfg.aBits)
+                             : unsignedMax(cfg.aBits);
+        t.wMin = cfg.wSigned ? signedMin(cfg.wBits) : 0;
+        t.wMax = cfg.wSigned ? signedMax(cfg.wBits)
+                             : unsignedMax(cfg.wBits);
+        auto draw = [&prng](std::int64_t lo, std::int64_t hi) {
+            switch (prng.below(4)) {
+              case 0: return lo;
+              case 1: return hi;
+              default:
+                return lo + static_cast<std::int64_t>(prng.below(
+                                static_cast<std::uint64_t>(hi - lo) + 1));
+            }
+        };
+        for (unsigned round = 0; round < 60; ++round) {
+            const std::uint64_t steps[] = {0, 1, 1, 2, 4};
+            t.outDims = 1 + static_cast<unsigned>(prng.below(3));
+            t.dims = 1 + static_cast<unsigned>(prng.below(4));
+            const unsigned last = t.outDims - 1;
+            for (unsigned d = 0; d < t.outDims; ++d) {
+                t.outIters[d] = d == last ? 1 + prng.below(40)
+                                          : 1 + prng.below(3);
+                t.aOut[d] = d == last ? steps[prng.below(5)]
+                                      : prng.below(50);
+                t.wOut[d] = prng.below(4);
+                t.oOut[d] = prng.below(3);
+            }
+            const bool row = prng.below(2) == 0;
+            if (row)
+                t.wOut[last] = 0;
+            else
+                t.wOut[last] = 1 + prng.below(6);
+            rows += row ? 1 : 0;
+            const bool unitDot = prng.below(2) == 0;
+            for (unsigned d = 0; d < t.dims; ++d) {
+                t.iters[d] = 1 + prng.below(d + 1 == t.dims ? 9 : 3);
+                t.aStride[d] = unitDot ? 1 : prng.below(4);
+                t.wStride[d] = unitDot ? 1 : 1 + prng.below(3);
+            }
+
+            // Every (output, reduction step) pair the tile reads, in
+            // the reference walk's order.
+            const auto aOut = nestOffsets(t.outDims, t.outIters, t.aOut);
+            const auto wOut = nestOffsets(t.outDims, t.outIters, t.wOut);
+            const auto oOut = nestOffsets(t.outDims, t.outIters, t.oOut);
+            const auto aRed = nestOffsets(t.dims, t.iters, t.aStride);
+            const auto wRed = nestOffsets(t.dims, t.iters, t.wStride);
+            auto top = [](const std::vector<std::uint64_t> &v) {
+                return *std::max_element(v.begin(), v.end());
+            };
+            // Exactly sized operands: an over-read shows under ASan.
+            std::vector<std::int64_t> a(top(aOut) + top(aRed) + 1);
+            std::vector<std::int64_t> w(top(wOut) + top(wRed) + 1);
+            std::vector<std::int64_t> o(top(oOut) + 1);
+            for (std::int64_t &v : a)
+                v = draw(t.aMin, t.aMax);
+            for (std::int64_t &v : w)
+                v = draw(t.wMin, t.wMax);
+            for (std::int64_t &v : o)
+                v = static_cast<std::int64_t>(prng.next());
+
+            const bool inject = round % 3 == 2;
+            if (inject) {
+                const std::uint64_t out = prng.below(aOut.size());
+                const std::uint64_t red = prng.below(aRed.size());
+                switch (prng.below(4)) {
+                  case 0: a[aOut[out] + aRed[red]] = t.aMax + 1; break;
+                  case 1: a[aOut[out] + aRed[red]] = t.aMin - 1; break;
+                  case 2: w[wOut[out] + wRed[red]] = t.wMax + 1; break;
+                  default: w[wOut[out] + wRed[red]] = t.wMin - 1; break;
+                }
+            }
+
+            std::vector<std::int64_t> want = o;
+            for (std::size_t i = 0; i < oOut.size(); ++i)
+                for (std::size_t j = 0; j < aRed.size(); ++j)
+                    want[oOut[i]] = static_cast<std::int64_t>(
+                        static_cast<std::uint64_t>(want[oOut[i]]) +
+                        static_cast<std::uint64_t>(
+                            a[aOut[i] + aRed[j]] *
+                            w[wOut[i] + wRed[j]]));
+
+            const std::string what =
+                cfg.toString() + " round " + std::to_string(round) +
+                (row ? " row" : " dot");
+            t.a = a.data();
+            t.w = w.data();
+            for (bool avx2 : {false, true}) {
+                std::vector<std::int64_t> got = o;
+                t.o = got.data();
+                const MacTileFn kernel = macTileKernel(t, avx2);
+                EXPECT_EQ(kernel(t), inject)
+                    << what << (avx2 ? " avx2" : " portable");
+                if (!inject) {
+                    EXPECT_EQ(got, want)
+                        << what << (avx2 ? " avx2" : " portable");
+                }
+            }
+        }
+    }
+    EXPECT_GT(rows, 100u);
 }
 
 // --------------------------------------------- dispatch tiers
