@@ -1,7 +1,6 @@
 #include "src/isa/exec_plan.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -559,6 +558,7 @@ struct ExecPlan::Runtime
     std::uint64_t *pos;
     std::uint64_t pendingRows = 1;
     std::int64_t regIn = 0, regWgt = 0, regOut = 0;
+    std::vector<std::int64_t> row{}; ///< activation drain scratch
 };
 
 void
@@ -595,27 +595,25 @@ ExecPlan::transfer(const CodeOp &op, bool to_buffer, Runtime &rt) const
 
     if (words > 0) {
         const bool activate = !to_buffer && op.activate;
+        if (activate && rt.row.size() < words)
+            rt.row.resize(words);
         for (std::uint64_t r = 0; r < rows; ++r) {
             if (to_buffer) {
-                const std::int64_t *src =
-                    rt.memory.readSpan(mem0, words);
-                std::memcpy(&store[buf0], src,
-                            words * sizeof(std::int64_t));
+                rt.memory.load(mem0, words, &store[buf0]);
             } else if (activate) {
                 // Activation unit on the drain path (Fig. 3): relu
-                // then requantize, per element.
-                std::int64_t *dst = rt.memory.writeSpan(mem0, words);
+                // then requantize, per element, into the row scratch.
                 for (std::uint64_t kk = 0; kk < words; ++kk) {
                     std::int64_t v = store[buf0 + kk];
                     v = std::max<std::int64_t>(v, 0) >> actShift_;
                     if (actOutBits_)
                         v = clampUnsigned(v, actOutBits_);
-                    dst[kk] = v;
+                    rt.row[kk] = v;
                 }
+                rt.memory.store(mem0, words, rt.row.data());
                 rt.stats.auxOps += words;
             } else {
-                std::memcpy(rt.memory.writeSpan(mem0, words),
-                            &store[buf0], words * sizeof(std::int64_t));
+                rt.memory.store(mem0, words, &store[buf0]);
             }
             mem0 += mem_e.rowStride;
             buf0 += fill_e.rowStride;

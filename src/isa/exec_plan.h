@@ -22,8 +22,8 @@
  *    16-bit and mixed-width configs the memo table cannot cover;
  *  - scratchpad sizes come from a static high-water analysis, so the
  *    hot loop never calls resize;
- *  - ld-mem / st-mem move whole rows through MemoryModel spans (one
- *    bounds check per row instead of per element);
+ *  - ld-mem / st-mem move whole rows through MemoryModel::load /
+ *    store (one bounds check per row instead of per element);
  *  - for operand pairs of at most 8x8 bits the unfused MAC op reads a
  *    process-cached per-config product table whose entries equal the
  *    exact decomposeMultiply path (pinned exhaustively by

@@ -1,7 +1,6 @@
 #include "src/isa/interpreter.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "src/arch/decompose.h"
@@ -83,28 +82,27 @@ Interpreter::transfer(const Instruction &inst, bool to_buffer)
 
     if (words > 0) {
         const bool activate = !to_buffer && inst.isActivate();
+        std::vector<std::int64_t> row(activate ? words : 0);
         for (std::uint64_t r = 0; r < rows; ++r) {
             const std::uint64_t mem0 = evalAddr(buf, AddrSpace::Mem, r);
             const std::uint64_t buf0 =
                 evalAddr(buf, AddrSpace::BufFill, r);
             if (to_buffer) {
-                std::memcpy(&store[buf0], memory.readSpan(mem0, words),
-                            words * sizeof(std::int64_t));
+                memory.load(mem0, words, &store[buf0]);
             } else if (activate) {
                 // Activation unit on the drain path (Fig. 3):
-                // relu then requantize.
-                std::int64_t *dst = memory.writeSpan(mem0, words);
+                // relu then requantize, into a row scratch.
                 for (std::uint64_t kk = 0; kk < words; ++kk) {
                     std::int64_t v = store[buf0 + kk];
                     v = std::max<std::int64_t>(v, 0) >> block->actShift;
                     if (block->actOutBits)
                         v = clampUnsigned(v, block->actOutBits);
-                    dst[kk] = v;
+                    row[kk] = v;
                 }
+                memory.store(mem0, words, row.data());
                 _stats.auxOps += words;
             } else {
-                std::memcpy(memory.writeSpan(mem0, words), &store[buf0],
-                            words * sizeof(std::int64_t));
+                memory.store(mem0, words, &store[buf0]);
             }
         }
     }
