@@ -122,6 +122,32 @@ Compiler::emitConv(const Layer &layer, const BlockBases &bases,
     return b;
 }
 
+std::vector<std::int64_t>
+FcWeightLayout::pack(const std::vector<std::int64_t> &rowMajor) const
+{
+    BF_ASSERT(rowMajor.size() == ocTotal * icTotal,
+              "fc weight image of ", rowMajor.size(), " words, expected ",
+              ocTotal * icTotal);
+    std::vector<std::int64_t> image(rowMajor.size());
+    for (std::uint64_t oc = 0; oc < ocTotal; ++oc)
+        for (std::uint64_t ic = 0; ic < icTotal; ++ic)
+            image[offset(oc, ic)] = rowMajor[oc * icTotal + ic];
+    return image;
+}
+
+FcWeightLayout
+Compiler::fcWeightLayout(const Layer &layer, std::uint64_t out_tile,
+                         std::uint64_t in_tile)
+{
+    const auto gemm = layer.gemmShape();
+    FcWeightLayout l;
+    l.ocTotal = gemm.m;
+    l.icTotal = gemm.k;
+    l.toc = largestDivisor(l.ocTotal, out_tile);
+    l.tic = largestDivisor(l.icTotal, in_tile);
+    return l;
+}
+
 InstructionBlock
 Compiler::emitFc(const Layer &layer, const BlockBases &bases,
                  std::uint64_t out_tile, std::uint64_t in_tile,
@@ -133,11 +159,11 @@ Compiler::emitFc(const Layer &layer, const BlockBases &bases,
               layer.kind == LayerKind::Rnn ||
               layer.kind == LayerKind::Lstm,
               "emitFc on unsupported layer kind");
-    const auto gemm = layer.gemmShape();
-    const std::uint64_t oc_total = gemm.m;
-    const std::uint64_t ic_total = gemm.k;
-    const std::uint64_t toc = largestDivisor(oc_total, out_tile);
-    const std::uint64_t tic = largestDivisor(ic_total, in_tile);
+    const FcWeightLayout wl = fcWeightLayout(layer, out_tile, in_tile);
+    const std::uint64_t oc_total = wl.ocTotal;
+    const std::uint64_t ic_total = wl.icTotal;
+    const std::uint64_t toc = wl.toc;
+    const std::uint64_t tic = wl.tic;
 
     InstructionBlock b;
     b.name = layer.name;
@@ -162,26 +188,22 @@ Compiler::emitFc(const Layer &layer, const BlockBases &bases,
     const auto WB = BufferId::Wbuf;
     const auto MEM = AddrSpace::Mem;
     const auto ACC = AddrSpace::BufAccess;
-    const auto FILL = AddrSpace::BufFill;
 
     ins.push_back(Instruction::genAddr(IB, MEM, 1, tic));
     ins.push_back(Instruction::genAddr(IB, ACC, 3, 1));
-    // Weight tile: toc rows of tic words, row stride = full input
-    // width in memory, packed rows in the buffer.
+    // Weight tile: toc x tic words stored contiguously, ic-major
+    // (FcWeightLayout), so one ld-mem streams the whole tile and the
+    // toc outputs of one ic step sit side by side in the buffer.
     ins.push_back(Instruction::genAddr(WB, MEM, 0, toc * ic_total));
-    ins.push_back(Instruction::genAddr(WB, MEM, 1, tic));
-    ins.push_back(Instruction::genAddr(WB, MEM, addr_id::dmaRow,
-                                       ic_total));
-    ins.push_back(Instruction::genAddr(WB, FILL, addr_id::dmaRow, tic));
-    ins.push_back(Instruction::genAddr(WB, ACC, 2, tic));
-    ins.push_back(Instruction::genAddr(WB, ACC, 3, 1));
+    ins.push_back(Instruction::genAddr(WB, MEM, 1, toc * tic));
+    ins.push_back(Instruction::genAddr(WB, ACC, 2, 1));
+    ins.push_back(Instruction::genAddr(WB, ACC, 3, toc));
     ins.push_back(Instruction::genAddr(OB, MEM, 0, toc));
     ins.push_back(Instruction::genAddr(OB, ACC, 2, 1));
 
     ins.push_back(Instruction::ldMem(OB, 1, toc));
     ins.push_back(Instruction::ldMem(IB, 2, tic));
-    ins.push_back(Instruction::setRows(2, toc));
-    ins.push_back(Instruction::ldMem(WB, 2, tic));
+    ins.push_back(Instruction::ldMem(WB, 2, toc * tic));
     ins.push_back(Instruction::rdBuf(OB, 3));
     ins.push_back(Instruction::rdBuf(IB, 4));
     ins.push_back(Instruction::rdBuf(WB, 4));

@@ -12,6 +12,7 @@
 #define BITFUSION_COMPILER_CODEGEN_H
 
 #include <cstdint>
+#include <vector>
 
 #include "src/compiler/schedule.h"
 #include "src/compiler/tiling.h"
@@ -36,6 +37,34 @@ struct ActFusion
     unsigned shift = 0;
     /** Output bitwidth after requantization (0 = no clamp). */
     unsigned outBits = 0;
+};
+
+/**
+ * Off-chip layout of an FC/LSTM/RNN weight image as emitFc reads it:
+ * tile-contiguous and ic-major, [t_oc][t_ic][ic][oc], so each
+ * toc x tic tile is one contiguous span a single ld-mem streams.
+ * Weights are indexed by their row-major (oc, ic) position in the
+ * layer's gemmShape() (m x k), the order src/dnn/reference.cc uses.
+ * This is the only place that knows the layout: every loader writes
+ * FC weights through it.
+ */
+struct FcWeightLayout
+{
+    std::uint64_t ocTotal = 0, icTotal = 0;
+    /** Tile extents (divisors of ocTotal and icTotal). */
+    std::uint64_t toc = 0, tic = 0;
+
+    /** Offset of weight (oc, ic) from the weight base. */
+    std::uint64_t
+    offset(std::uint64_t oc, std::uint64_t ic) const
+    {
+        return (oc / toc) * toc * icTotal + (ic / tic) * toc * tic +
+               (ic % tic) * toc + oc % toc;
+    }
+
+    /** The image of row-major [oc][ic] weights @p rowMajor. */
+    std::vector<std::int64_t>
+    pack(const std::vector<std::int64_t> &rowMajor) const;
 };
 
 /** The Bit Fusion compiler. */
@@ -67,11 +96,16 @@ class Compiler
     /**
      * Fully-connected block (Fig. 12(b) shape: tiled, output
      * stationary). @p out_tile / @p in_tile shrink to divisors of
-     * outC / inC.
+     * outC / inC. Weights are read in fcWeightLayout()'s layout.
      */
     InstructionBlock emitFc(const Layer &layer, const BlockBases &bases,
                             std::uint64_t out_tile, std::uint64_t in_tile,
                             const ActFusion &act = {}) const;
+
+    /** Weight layout of emitFc(@p layer, ..., @p out_tile, @p in_tile). */
+    static FcWeightLayout fcWeightLayout(const Layer &layer,
+                                         std::uint64_t out_tile,
+                                         std::uint64_t in_tile);
 
     /** Max-pooling block (pooling unit). */
     InstructionBlock emitPool(const Layer &layer,

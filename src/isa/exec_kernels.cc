@@ -1,6 +1,7 @@
 #include "src/isa/exec_kernels.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/arch/decompose.h"
 #include "src/common/logging.h"
@@ -116,10 +117,6 @@ struct RangeAcc
     std::uint64_t a = 0, w = 0;
 };
 
-using DotFn = std::uint64_t (*)(const std::int64_t *a,
-                                const std::int64_t *w, const DotRun &run,
-                                RangeAcc &bits);
-
 /**
  * Portable dot product. Products and the accumulator are uint64
  * (wraparound): an exact two's-complement match for the reference
@@ -156,7 +153,6 @@ dotPortable(const std::int64_t *a, const std::int64_t *w,
 }
 
 /** Dot order: each output runs its whole reduction, innermost. */
-template <DotFn Dot>
 bool
 dotTile(const MacTileArgs &t)
 {
@@ -175,11 +171,12 @@ dotTile(const MacTileArgs &t)
                 for (std::uint64_t i0 = 0; i0 < r.it[0]; ++i0)
                     for (std::uint64_t i1 = 0; i1 < r.it[1]; ++i1)
                         for (std::uint64_t i2 = 0; i2 < r.it[2]; ++i2)
-                            acc += Dot(a + i0 * r.as[0] +
-                                           i1 * r.as[1] + i2 * r.as[2],
-                                       w + i0 * r.ws[0] +
-                                           i1 * r.ws[1] + i2 * r.ws[2],
-                                       run, bits);
+                            acc += dotPortable(
+                                a + i0 * r.as[0] + i1 * r.as[1] +
+                                    i2 * r.as[2],
+                                w + i0 * r.ws[0] + i1 * r.ws[1] +
+                                    i2 * r.ws[2],
+                                run, bits);
                 accumulate(t.o[u0 * u.os[0] + u1 * u.os[1] +
                                u2 * u.os[2]],
                            acc);
@@ -257,6 +254,24 @@ macRowPortable(const MacRowArgs &r, std::uint64_t *acc)
 }
 
 /**
+ * @p t with the operand roles exchanged: pointers, output and
+ * reduction strides, and ranges. Products commute and each operand
+ * keeps its own range, so a kernel computes the same sums and flags
+ * the same tiles on either.
+ */
+MacTileArgs
+swapRoles(const MacTileArgs &t)
+{
+    MacTileArgs s = t;
+    std::swap(s.a, s.w);
+    std::swap(s.aOut, s.wOut);
+    std::swap(s.aStride, s.wStride);
+    std::swap(s.aMin, s.wMin);
+    std::swap(s.aMax, s.wMax);
+    return s;
+}
+
+/**
  * Row order: the weight is fixed along the innermost output loop, so
  * a row of outputs accumulates together, one broadcast weight per
  * reduction step.
@@ -299,6 +314,18 @@ rowTile(const MacTileArgs &t)
         }
     }
     return bad;
+}
+
+/**
+ * Row order with the roles exchanged, for tiles whose activation is
+ * fixed along the innermost output loop (FC/LSTM/RNN): the activation
+ * is broadcast and the weight row is read.
+ */
+template <MacRowFn Row>
+bool
+swappedRowTile(const MacTileArgs &t)
+{
+    return rowTile<Row>(swapRoles(t));
 }
 
 // ----------------------------------------------------------------- AVX2
@@ -437,39 +464,6 @@ macRowAvx2(const MacRowArgs &r, std::uint64_t *acc)
     return r.aStep == 1 ? rowAvx2<true>(r, acc) : rowAvx2<false>(r, acc);
 }
 
-/** Unit-stride dot product, four lanes per step, the tail masked. */
-__attribute__((target("avx2"))) std::uint64_t
-dotAvx2(const std::int64_t *a, const std::int64_t *w, const DotRun &run,
-        RangeAcc &bits)
-{
-    const __m256i aMin = _mm256_set1_epi64x(run.aMin);
-    const __m256i wMin = _mm256_set1_epi64x(run.wMin);
-    __m256i acc = _mm256_setzero_si256();
-    __m256i ab = _mm256_setzero_si256();
-    __m256i wb = _mm256_setzero_si256();
-    for (std::uint64_t k = 0; k < run.n; k += 4) {
-        const long long *ak = reinterpret_cast<const long long *>(a + k);
-        const long long *wk = reinterpret_cast<const long long *>(w + k);
-        __m256i av, wv;
-        if (k + 4 <= run.n) {
-            av = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(ak));
-            wv = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(wk));
-        } else {
-            const __m256i tail = laneMask(run.n - k);
-            av = _mm256_maskload_epi64(ak, tail);
-            wv = _mm256_maskload_epi64(wk, tail);
-        }
-        ab = _mm256_or_si256(ab, _mm256_sub_epi64(av, aMin));
-        wb = _mm256_or_si256(wb, _mm256_sub_epi64(wv, wMin));
-        acc = _mm256_add_epi64(acc, _mm256_mul_epi32(av, wv));
-    }
-    bits.a |= orLanes(ab);
-    bits.w |= orLanes(wb);
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    return lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
 #endif // BITFUSION_X86_AVX2
 
 } // namespace
@@ -501,20 +495,27 @@ macTileKernel(const MacTileArgs &shape, bool avx2)
         BF_ASSERT((span & (span + 1)) == 0,
                   "operand range is not a power-of-two span");
 
-    const bool row =
-        shape.outDims > 0 && shape.wOut[shape.outDims - 1] == 0;
+    // Row order when either operand is fixed along the innermost
+    // output loop; a fixed weight first (no role swap).
+    const unsigned last = shape.outDims > 0 ? shape.outDims - 1 : 0;
+    const bool row = shape.outDims > 0 && shape.wOut[last] == 0;
+    const bool swapped =
+        !row && shape.outDims > 0 && shape.aOut[last] == 0;
 #if defined(BITFUSION_X86_AVX2)
     if (avx2 && hostHasAvx2()) {
-        const unsigned in = shape.dims - 1;
         if (row)
             return &rowTile<&macRowAvx2>;
-        if (shape.aStride[in] == 1 && shape.wStride[in] == 1)
-            return &dotTile<&dotAvx2>;
+        if (swapped)
+            return &swappedRowTile<&macRowAvx2>;
     }
 #else
     (void)avx2;
 #endif
-    return row ? &rowTile<&macRowPortable> : &dotTile<&dotPortable>;
+    if (row)
+        return &rowTile<&macRowPortable>;
+    if (swapped)
+        return &swappedRowTile<&macRowPortable>;
+    return &dotTile;
 }
 
 void

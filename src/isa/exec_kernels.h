@@ -12,12 +12,20 @@
  *
  * Two loop orders, chosen at plan-build time from the strides:
  *
- *  - Row order, when the weight does not move along the innermost
- *    output loop (conv: the ox loop). A row of outputs accumulates
- *    together: each reduction step broadcasts one weight and reads
- *    the activations along the row (unit stride for stride-1 conv).
- *  - Dot order otherwise (FC/LSTM/RNN): each output runs its
- *    reduction innermost as a dot product.
+ *  - Row order, when one operand does not move along the innermost
+ *    output loop. A row of outputs accumulates together: each
+ *    reduction step broadcasts the fixed operand and reads the other
+ *    along the row. Conv fixes the weight along the ox loop and reads
+ *    activations (unit stride for stride-1 conv). FC/LSTM/RNN fix the
+ *    activation along the oc loop; their tile-contiguous weights
+ *    (FcWeightLayout) put the toc outputs of one ic step side by
+ *    side, so the kernel swaps the operand roles -- pointers, strides
+ *    and ranges -- and reads unit-stride weight rows. Products
+ *    commute and each operand keeps its own range, so the sums and
+ *    the bad-operand flag are the same either way.
+ *  - Dot order otherwise: each output runs its reduction innermost
+ *    as a dot product. No compiler-emitted block has this shape;
+ *    it keeps hand-written blocks and single-output tiles exact.
  *
  * Bit-exactness contract: for every representable operand pair the
  * BitBrick decomposition is an exact radix-4 signed-digit multiply,
@@ -42,10 +50,10 @@
  * iteration order and routes the first offending pair through
  * decomposeMultiply for the identical panic.
  *
- * On x86 the row loop and the unit-stride dot loop have an AVX2
- * variant, compiled with `__attribute__((target("avx2")))` and picked
- * at plan build when the CPU reports AVX2; every other host, and
- * strided dot loops, run the portable loops.
+ * On x86 the row loop has an AVX2 variant, compiled with
+ * `__attribute__((target("avx2")))` and picked at plan build when
+ * the CPU reports AVX2; every other host, and dot-order tiles, run
+ * the portable loops.
  */
 
 #ifndef BITFUSION_ISA_EXEC_KERNELS_H
@@ -113,7 +121,7 @@ bool hostHasAvx2();
 
 /**
  * Kernel for tiles shaped like @p shape (its pointers are ignored):
- * row or dot order from the strides, and the AVX2 variant when
+ * row or dot order from the strides, and the AVX2 row kernel when
  * @p avx2 is set and the host runs it. Never null. Plans pass
  * hostHasAvx2(); tests run both variants on the same tiles.
  */

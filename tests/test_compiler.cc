@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/compiler/codegen.h"
 #include "src/compiler/tiling.h"
 #include "src/dnn/model_zoo.h"
@@ -214,6 +217,160 @@ TEST(Compiler, FcBlockLoopsCoverAllMacs)
     const InstructionBlock blk =
         compiler.emitFc(fc, BlockBases{}, 16, 32);
     EXPECT_EQ(blk.innermostIterations(), fc.macsPerSample());
+}
+
+/**
+ * @p layout must map the (oc, ic) grid one-to-one onto
+ * [0, weightCount) and agree with @p block, whose Wbuf address of
+ * weight (oc, ic) is tile base (Mem) plus offset in the tile
+ * (BufAccess) over the loops (t_oc, t_ic, oc, ic).
+ *
+ * The zoo's FC layers hold up to 151M weights, so a bitmap over
+ * every weight runs only up to 2^20 of them. Every layer gets the
+ * structural proof instead: the block's four strides number the
+ * loop box in mixed radix (sorted by stride, each is the product of
+ * the smaller dims' trip counts, ending at weightCount), so the
+ * block's address is a bijection onto [0, weightCount); and the
+ * helper matches it on every weight of the first and last tile and
+ * at both corners of every tile.
+ */
+void
+expectFcLayoutBijective(const Layer &layer, const FcWeightLayout &layout,
+                        const InstructionBlock &block)
+{
+    const std::uint64_t count = layer.weightCount();
+    ASSERT_EQ(layout.ocTotal * layout.icTotal, count) << layer.name;
+    ASSERT_EQ(layout.ocTotal % layout.toc, 0u) << layer.name;
+    ASSERT_EQ(layout.icTotal % layout.tic, 0u) << layer.name;
+    std::uint64_t stride[4] = {}, trips[4] = {};
+    for (const Instruction &inst : block.instructions) {
+        if (inst.op == Opcode::Loop && inst.id < 4)
+            trips[inst.id] = inst.fullImm();
+        if (inst.op != Opcode::GenAddr ||
+            inst.buffer() != BufferId::Wbuf)
+            continue;
+        ASSERT_LT(inst.id, 4u) << layer.name;
+        ASSERT_NE(inst.space(), AddrSpace::BufFill) << layer.name;
+        stride[inst.id] += inst.fullImm();
+    }
+    ASSERT_EQ(trips[0], layout.ocTotal / layout.toc) << layer.name;
+    ASSERT_EQ(trips[1], layout.icTotal / layout.tic) << layer.name;
+    ASSERT_EQ(trips[2], layout.toc) << layer.name;
+    ASSERT_EQ(trips[3], layout.tic) << layer.name;
+
+    std::vector<unsigned> dims;
+    for (unsigned d = 0; d < 4; ++d)
+        if (trips[d] > 1)
+            dims.push_back(d);
+    std::sort(dims.begin(), dims.end(), [&](unsigned x, unsigned y) {
+        return stride[x] < stride[y];
+    });
+    std::uint64_t radix = 1;
+    for (unsigned d : dims) {
+        ASSERT_EQ(stride[d], radix) << layer.name << " loop " << d;
+        radix *= trips[d];
+    }
+    ASSERT_EQ(radix, count) << layer.name;
+
+    // Plain checks in the loops: they run on millions of weights.
+    auto agree = [&](std::uint64_t oc, std::uint64_t ic) {
+        const std::uint64_t pos[4] = {oc / layout.toc, ic / layout.tic,
+                                      oc % layout.toc, ic % layout.tic};
+        std::uint64_t emitted = 0;
+        for (unsigned d = 0; d < 4; ++d)
+            emitted += pos[d] * stride[d];
+        if (emitted == layout.offset(oc, ic))
+            return true;
+        ADD_FAILURE() << layer.name << ": weight (" << oc << ", " << ic
+                      << ") at " << layout.offset(oc, ic)
+                      << ", the block reads it at " << emitted;
+        return false;
+    };
+    const std::uint64_t lastOc = layout.ocTotal - layout.toc;
+    const std::uint64_t lastIc = layout.icTotal - layout.tic;
+    for (std::uint64_t oc = 0; oc < layout.toc; ++oc)
+        for (std::uint64_t ic = 0; ic < layout.tic; ++ic)
+            if (!agree(oc, ic) || !agree(lastOc + oc, lastIc + ic))
+                return;
+    for (std::uint64_t oc = 0; oc < layout.ocTotal; oc += layout.toc)
+        for (std::uint64_t ic = 0; ic < layout.icTotal; ic += layout.tic)
+            if (!agree(oc, ic) ||
+                !agree(oc + layout.toc - 1, ic + layout.tic - 1))
+                return;
+
+    if (count > (1u << 20))
+        return;
+    std::vector<bool> seen(count, false);
+    for (std::uint64_t oc = 0; oc < layout.ocTotal; ++oc) {
+        for (std::uint64_t ic = 0; ic < layout.icTotal; ++ic) {
+            const std::uint64_t off = layout.offset(oc, ic);
+            if (off >= count || seen[off]) {
+                FAIL() << layer.name << ": weight (" << oc << ", " << ic
+                       << ") at " << off << " is out of range or taken";
+            }
+            seen[off] = true;
+        }
+    }
+}
+
+TEST(FcWeightLayout, BijectiveOnZooAndDegenerateTiles)
+{
+    const Compiler compiler(smallConfig());
+    unsigned layers = 0;
+    for (const auto &b : zoo::all()) {
+        for (const Network *net : {&b.quantized, &b.baseline}) {
+            const CompiledNetwork cn = compiler.compile(*net);
+            for (const LayerSchedule &s : cn.schedules) {
+                if (!s.usesMacArray || s.layer.kind == LayerKind::Conv)
+                    continue;
+                expectFcLayoutBijective(
+                    s.layer,
+                    Compiler::fcWeightLayout(s.layer, s.tile.mt,
+                                             s.tile.kt),
+                    s.block);
+                ++layers;
+            }
+        }
+    }
+    EXPECT_GT(layers, 0u);
+
+    // toc = 1 and tic = 1; toc = oc_total and tic = ic_total; an RNN
+    // and an LSTM (concatenated inputs, 4 gates) with ragged tiles.
+    const struct
+    {
+        Layer layer;
+        std::uint64_t outTile, inTile;
+    } cases[] = {
+        {Layer::fc("f", 16, 8, zoo::cfg8x8()), 1, 1},
+        {Layer::fc("f", 16, 8, zoo::cfg8x8()), 8, 16},
+        {Layer::fc("f", 16, 8, zoo::cfg8x8()), 1, 16},
+        {Layer::fc("f", 16, 8, zoo::cfg8x8()), 8, 1},
+        {Layer::rnn("r", 12, 10, zoo::cfg4x4()), 5, 11},
+        {Layer::lstm("l", 6, 9, zoo::cfg4x4()), 12, 5},
+    };
+    for (const auto &c : cases) {
+        const FcWeightLayout layout =
+            Compiler::fcWeightLayout(c.layer, c.outTile, c.inTile);
+        expectFcLayoutBijective(
+            c.layer, layout,
+            compiler.emitFc(c.layer, BlockBases{}, c.outTile, c.inTile));
+    }
+}
+
+TEST(FcWeightLayout, PackPlacesEveryRowMajorWeight)
+{
+    const Layer fc = Layer::fc("f", 6, 4, zoo::cfg8x8());
+    const FcWeightLayout layout = Compiler::fcWeightLayout(fc, 2, 3);
+    EXPECT_EQ(layout.toc, 2u);
+    EXPECT_EQ(layout.tic, 3u);
+    std::vector<std::int64_t> rowMajor(fc.weightCount());
+    for (std::size_t i = 0; i < rowMajor.size(); ++i)
+        rowMajor[i] = static_cast<std::int64_t>(i);
+    // Tiles [t_oc][t_ic], each [ic][oc]: weight (oc, ic) is oc*6 + ic.
+    const std::vector<std::int64_t> want = {
+        0,  6,  1,  7,  2,  8,  3,  9,  4,  10, 5,  11,
+        12, 18, 13, 19, 14, 20, 15, 21, 16, 22, 17, 23};
+    EXPECT_EQ(layout.pack(rowMajor), want);
 }
 
 TEST(LargestDivisor, PinnedResults)

@@ -153,13 +153,16 @@ TEST(Integration, InterpreterTrafficReconcilesWithSimulator)
     bases.input = mem.allocate(64);
     for (unsigned i = 0; i < 64; ++i)
         mem.write(bases.input + i, input[i]);
-    bases.weights = mem.allocate(weights.size());
-    for (std::size_t i = 0; i < weights.size(); ++i)
-        mem.write(bases.weights + i, weights[i]);
+    const std::uint64_t mt = cn.schedules[0].tile.mt;
+    const std::uint64_t kt = cn.schedules[0].tile.kt;
+    const std::vector<std::int64_t> image =
+        Compiler::fcWeightLayout(fc, mt, kt).pack(weights.raw());
+    bases.weights = mem.allocate(image.size());
+    for (std::size_t i = 0; i < image.size(); ++i)
+        mem.write(bases.weights + i, image[i]);
     bases.output = mem.allocate(32);
     Interpreter interp(mem);
-    interp.run(compiler.emitFc(fc, bases, cn.schedules[0].tile.mt,
-                               cn.schedules[0].tile.kt));
+    interp.run(compiler.emitFc(fc, bases, mt, kt));
 
     const auto &is = interp.stats();
     const std::uint64_t interp_load_bits =

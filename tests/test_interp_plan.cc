@@ -245,8 +245,8 @@ TEST(PlanParity, ModelZooStatsAndMemoryIdentical)
 
 // --------------------------------------- compiler-emitted blocks
 
-/** A compiler-emitted conv block and the memory image it runs on. */
-struct ConvCase
+/** A compiler-emitted block and the memory image it runs on. */
+struct BlockCase
 {
     InstructionBlock block;
     BlockBases bases;
@@ -258,7 +258,7 @@ struct ConvCase
  * activation) over random representable inputs and weights drawn
  * from @p seed; the padded input border stays zero.
  */
-ConvCase
+BlockCase
 seededConv(const Layer &layer, unsigned seed, std::uint64_t outTile = 3)
 {
     const FusionConfig &cfg = layer.bits;
@@ -268,7 +268,7 @@ seededConv(const Layer &layer, unsigned seed, std::uint64_t outTile = 3)
     Tensor weights(layer.weightCount());
     weights.fillRandom(prng, cfg.wBits, cfg.wSigned);
 
-    ConvCase c;
+    BlockCase c;
     MemoryModel &mem = c.mem;
     const unsigned hp = layer.inH + 2 * layer.pad;
     const unsigned wp = layer.inW + 2 * layer.pad;
@@ -297,6 +297,39 @@ seededConv(const Layer &layer, unsigned seed, std::uint64_t outTile = 3)
     return c;
 }
 
+/**
+ * Emit @p layer as an FC block (tiles @p outTile x @p inTile) over
+ * random representable inputs and weights drawn from @p seed, the
+ * weights written in the layout the block reads.
+ */
+BlockCase
+seededFc(const Layer &layer, unsigned seed, std::uint64_t outTile,
+         std::uint64_t inTile)
+{
+    const FusionConfig &cfg = layer.bits;
+    Prng prng(seed);
+    Tensor input(static_cast<std::size_t>(layer.inputCount()));
+    input.fillRandom(prng, cfg.aBits, cfg.aSigned);
+    Tensor weights(layer.weightCount());
+    weights.fillRandom(prng, cfg.wBits, cfg.wSigned);
+    const std::vector<std::int64_t> image =
+        Compiler::fcWeightLayout(layer, outTile, inTile)
+            .pack(weights.raw());
+
+    BlockCase c;
+    MemoryModel &mem = c.mem;
+    c.bases.input = mem.allocate(input.size());
+    for (std::size_t i = 0; i < input.size(); ++i)
+        mem.write(c.bases.input + i, input[i]);
+    c.bases.weights = mem.allocate(image.size());
+    for (std::size_t i = 0; i < image.size(); ++i)
+        mem.write(c.bases.weights + i, image[i]);
+    c.bases.output = mem.allocate(layer.outputCount());
+    c.block = Compiler(batch1Config())
+                  .emitFc(layer, c.bases, outTile, inTile);
+    return c;
+}
+
 TEST(PlanParity, RandomConvBlocksAllConfigs)
 {
     const FusionConfig cfgs[] = {zoo::cfg1x1(), zoo::cfg2x2(),
@@ -304,7 +337,7 @@ TEST(PlanParity, RandomConvBlocksAllConfigs)
                                  zoo::cfg8x8(), zoo::cfg16x16()};
     unsigned seed = 500;
     for (const FusionConfig &cfg : cfgs) {
-        const ConvCase c = seededConv(
+        const BlockCase c = seededConv(
             Layer::conv("c", 4, 7, 7, 6, 3, 1, 1, cfg, 2), ++seed);
         checkBlockParity(c.block, c.mem, "conv " + cfg.toString());
     }
@@ -336,7 +369,7 @@ TEST(PlanParity, StridedAndGroupedConvTiles)
             const Layer layer =
                 Layer::conv("c", sh.inC, sh.in, sh.in, sh.outC, sh.k,
                             sh.stride, sh.pad, cfg, sh.groups);
-            const ConvCase c = seededConv(layer, ++seed, 2);
+            const BlockCase c = seededConv(layer, ++seed, 2);
             const std::string what =
                 "conv k" + std::to_string(sh.k) + " s" +
                 std::to_string(sh.stride) + " g" +
@@ -350,33 +383,16 @@ TEST(PlanParity, StridedAndGroupedConvTiles)
 
 TEST(PlanParity, RandomFcBlocksAllConfigs)
 {
-    const Compiler compiler(batch1Config());
     const FusionConfig cfgs[] = {zoo::cfg1x1(), zoo::cfg2x2(),
                                  zoo::cfg4x1(), zoo::cfg4x4(),
                                  zoo::cfg8x8(), zoo::cfg16x16()};
     unsigned seed = 600;
     for (const FusionConfig &cfg : cfgs) {
-        const Layer layer = Layer::fc("f", 24, 10, cfg);
-        Prng prng(++seed);
-        Tensor input(static_cast<std::size_t>(layer.inC));
-        input.fillRandom(prng, cfg.aBits, cfg.aSigned);
-        Tensor weights(layer.weightCount());
-        weights.fillRandom(prng, cfg.wBits, cfg.wSigned);
-
-        MemoryModel mem;
-        BlockBases bases;
-        bases.input = mem.allocate(input.size());
-        for (std::size_t i = 0; i < input.size(); ++i)
-            mem.write(bases.input + i, input[i]);
-        bases.weights = mem.allocate(weights.size());
-        for (std::size_t i = 0; i < weights.size(); ++i)
-            mem.write(bases.weights + i, weights[i]);
-        bases.output = mem.allocate(layer.outC);
-
-        // The 2-D set-rows weight DMA makes this the interesting
-        // case for the plan's row handling.
-        checkBlockParity(compiler.emitFc(layer, bases, 5, 8), mem,
-                         "fc " + cfg.toString());
+        // 2 x 3 tiles of 5 x 8: each tile one contiguous weight DMA,
+        // run on the row kernel with the operand roles swapped.
+        const BlockCase c =
+            seededFc(Layer::fc("f", 24, 10, cfg), ++seed, 5, 8);
+        checkBlockParity(c.block, c.mem, "fc " + cfg.toString());
     }
 }
 
@@ -981,9 +997,18 @@ TEST(PlanParity, AliasedOutputTiles)
          {{0, 3}, {2, 1}},
          {{0, 1}},
          2},
-        // Dot order (the weight moves along the innermost output
+        // Dot order (both operands move along the innermost output
         // loop), aliased over the outer output loop.
         {"dot, aliased outer loop",
+         {3, 4, 5},
+         2,
+         {{1, 1}, {2, 1}},
+         {{1, 5}, {2, 1}},
+         {{1, 1}},
+         2},
+        // Swapped row order (the activation is fixed along the row,
+        // as in FC tiles), aliased over the outer output loop.
+        {"swapped row, aliased outer loop",
          {3, 4, 5},
          2,
          {{2, 1}},
@@ -1062,14 +1087,17 @@ TEST(ExecPlanDeathTest, SpecializedTierRejectsUnrepresentableWeight)
 }
 
 /**
- * Run @p c on the reference walk and on the Specialized tier; both
- * must die with a message matching @p pattern.
+ * Run @p c on the reference walk and on the Specialized tier, whose
+ * fused kernel covers @p outDims output loops; both must die with a
+ * message matching @p pattern.
  */
 void
-expectSameDeath(const ConvCase &c, const std::string &pattern)
+expectSameDeath(const BlockCase &c, unsigned outDims,
+                const std::string &pattern)
 {
     const auto plan = ExecPlan::build(c.block);
-    ASSERT_EQ(plan->fusedOutDims(), 3u);
+    ASSERT_TRUE(plan->fused());
+    ASSERT_EQ(plan->fusedOutDims(), outDims);
     EXPECT_DEATH(
         {
             MemoryModel mem = c.mem;
@@ -1107,19 +1135,20 @@ TEST(ExecPlanDeathTest, ConvTileRejectsOperandsOneStepOutOfRange)
         const std::uint64_t hp = layer.inH + 2;
         for (std::int64_t bad : {aMax + 1, aMin - 1}) {
             for (std::uint64_t column : {4u, 20u}) {
-                ConvCase c = seededConv(layer, ++seed);
+                BlockCase c = seededConv(layer, ++seed);
                 // Channel 1, row 5 (padded coordinates add 1).
                 c.mem.write(c.bases.input + (1 * hp + 6) * wp + column + 1,
                             bad);
-                expectSameDeath(c, "activation " + std::to_string(bad) +
-                                       " not representable");
+                expectSameDeath(c, 3,
+                                "activation " + std::to_string(bad) +
+                                    " not representable");
             }
         }
         for (std::int64_t bad : {wMax + 1, wMin - 1}) {
-            ConvCase c = seededConv(layer, ++seed);
+            BlockCase c = seededConv(layer, ++seed);
             c.mem.write(c.bases.weights + 7, bad);
-            expectSameDeath(c, "weight " + std::to_string(bad) +
-                                   " not representable");
+            expectSameDeath(c, 3, "weight " + std::to_string(bad) +
+                                      " not representable");
         }
     }
 }
@@ -1134,15 +1163,80 @@ TEST(ExecPlanDeathTest, ConvTileReportsTheFirstOffenderInWalkOrder)
     const std::uint64_t wp = layer.inW + 2;
     // Output (oc 0, 0, 0) reads input (ic 0, y 0, x 0) at reduction
     // step 4 and its last weight (index 17) at the final step.
-    ConvCase act = seededConv(layer, 1100);
+    BlockCase act = seededConv(layer, 1100);
     act.mem.write(act.bases.input + 1 * wp + 1, 256);
     act.mem.write(act.bases.weights + 17, -129);
-    expectSameDeath(act, "activation 256 not representable");
+    expectSameDeath(act, 3, "activation 256 not representable");
 
-    ConvCase wgt = seededConv(layer, 1101);
+    BlockCase wgt = seededConv(layer, 1101);
     wgt.mem.write(wgt.bases.input + 1 * wp + 1, 256);
     wgt.mem.write(wgt.bases.weights + 0, -129);
-    expectSameDeath(wgt, "weight -129 not representable");
+    expectSameDeath(wgt, 3, "weight -129 not representable");
+}
+
+TEST(ExecPlanDeathTest, FcTileRejectsOperandsOneStepOutOfRange)
+{
+    // FC tiles run on the row kernel with the operand roles swapped.
+    // A weight in the last (t_oc, t_ic) tile, then an activation in
+    // the last t_ic slice, one step past either end of its range,
+    // must fail like the reference walk: 40 x 24 in 20 x 8 tiles, so
+    // each weight row is one full 16-lane block plus a masked 4-lane
+    // tail. Unsigned (8x8) and signed (16x16) activations.
+    unsigned seed = 1200;
+    for (const FusionConfig &cfg : {zoo::cfg8x8(), zoo::cfg16x16()}) {
+        const Layer layer = Layer::fc("f", 24, 40, cfg);
+        const FcWeightLayout layout =
+            Compiler::fcWeightLayout(layer, 20, 8);
+        ASSERT_EQ(layout.toc, 20u);
+        ASSERT_EQ(layout.tic, 8u);
+        const std::int64_t aMin =
+            cfg.aSigned ? signedMin(cfg.aBits) : 0;
+        const std::int64_t aMax = cfg.aSigned ? signedMax(cfg.aBits)
+                                               : unsignedMax(cfg.aBits);
+        const std::int64_t wMin =
+            cfg.wSigned ? signedMin(cfg.wBits) : 0;
+        const std::int64_t wMax = cfg.wSigned ? signedMax(cfg.wBits)
+                                               : unsignedMax(cfg.wBits);
+        // Weights in the last tile: in the vector block and in the
+        // masked tail of a row.
+        for (std::int64_t bad : {wMax + 1, wMin - 1}) {
+            for (std::uint64_t oc : {21u, 39u}) {
+                BlockCase c = seededFc(layer, ++seed, 20, 8);
+                c.mem.write(c.bases.weights + layout.offset(oc, 19), bad);
+                expectSameDeath(c, 1, "weight " + std::to_string(bad) +
+                                          " not representable");
+            }
+        }
+        // The last activation, read only by the last t_ic tiles.
+        for (std::int64_t bad : {aMax + 1, aMin - 1}) {
+            BlockCase c = seededFc(layer, ++seed, 20, 8);
+            c.mem.write(c.bases.input + 23, bad);
+            expectSameDeath(c, 1, "activation " + std::to_string(bad) +
+                                      " not representable");
+        }
+    }
+}
+
+TEST(ExecPlanDeathTest, FcTileReportsTheFirstOffenderInWalkOrder)
+{
+    // The swapped kernel flags the tile; the report re-walks the
+    // caller's unswapped tile, outputs outermost, so the pair the
+    // reference walk meets first names the panic.
+    const Layer layer = Layer::fc("f", 24, 40, zoo::cfg8x8());
+    const FcWeightLayout layout = Compiler::fcWeightLayout(layer, 20, 8);
+    // Both in tile (t_oc 0, t_ic 2): output 0 reads activation 23 at
+    // its last step, before output 1 reads weight (1, 16) at its
+    // first. The swapped, ic-major order would meet the weight first.
+    BlockCase act = seededFc(layer, 1300, 20, 8);
+    act.mem.write(act.bases.input + 23, 256);
+    act.mem.write(act.bases.weights + layout.offset(1, 16), -129);
+    expectSameDeath(act, 1, "activation 256 not representable");
+
+    // Weight (0, 16) comes before activation 17 in output 0.
+    BlockCase wgt = seededFc(layer, 1301, 20, 8);
+    wgt.mem.write(wgt.bases.input + 17, 256);
+    wgt.mem.write(wgt.bases.weights + layout.offset(0, 16), -129);
+    expectSameDeath(wgt, 1, "weight -129 not representable");
 }
 
 // --------------------------------------------- tile kernels
@@ -1166,17 +1260,20 @@ nestOffsets(unsigned dims, const std::uint64_t *iters,
 TEST(MacTileKernel, PortableAndAvx2AgreeOnRandomTiles)
 {
     // The AVX2 kernels against the portable ones and the sequential
-    // walk, on the same random tiles: row order (the weight fixed
+    // walk, on the same random tiles (dot-order tiles run the
+    // portable kernel on both): row order (the weight fixed
     // along the innermost output loop, rows of 1..40 outputs: full
-    // vector blocks and masked tails, unit-stride and gathered) and
-    // dot order (unit-stride and strided), 1..3 output loops with
-    // aliased accumulators, 1..4-deep reductions, operands at the
-    // range ends and, in every third tile, one a step outside.
+    // vector blocks and masked tails, unit-stride and gathered),
+    // swapped row order (the activation fixed instead, weight rows at
+    // stride 1, 2 or 4, as FC tiles run) and dot order (unit-stride
+    // and strided), 1..3 output loops with aliased accumulators,
+    // 1..4-deep reductions, operands at the range ends and, in every
+    // third tile, one of either operand a step outside.
     if (!hostHasAvx2())
         GTEST_SKIP() << "the host CPU does not run AVX2";
 
     Prng prng(4242);
-    unsigned rows = 0;
+    unsigned rows = 0, swappedRows = 0;
     for (const FusionConfig &cfg :
          {zoo::cfg1x1(), zoo::cfg2x2(), zoo::cfg4x1(), zoo::cfg4x4(),
           zoo::cfg8x8(), zoo::cfg16x16()}) {
@@ -1196,7 +1293,7 @@ TEST(MacTileKernel, PortableAndAvx2AgreeOnRandomTiles)
                                 static_cast<std::uint64_t>(hi - lo) + 1));
             }
         };
-        for (unsigned round = 0; round < 60; ++round) {
+        for (unsigned round = 0; round < 90; ++round) {
             const std::uint64_t steps[] = {0, 1, 1, 2, 4};
             t.outDims = 1 + static_cast<unsigned>(prng.below(3));
             t.dims = 1 + static_cast<unsigned>(prng.below(4));
@@ -1209,12 +1306,20 @@ TEST(MacTileKernel, PortableAndAvx2AgreeOnRandomTiles)
                 t.wOut[d] = prng.below(4);
                 t.oOut[d] = prng.below(3);
             }
-            const bool row = prng.below(2) == 0;
-            if (row)
+            // 0: weight fixed (row), 1: activation fixed (swapped
+            // row), 2: neither (dot).
+            const unsigned shape = static_cast<unsigned>(prng.below(3));
+            if (shape == 0) {
                 t.wOut[last] = 0;
-            else
+            } else if (shape == 1) {
+                t.aOut[last] = 0;
+                t.wOut[last] = steps[2 + prng.below(3)];
+            } else {
+                t.aOut[last] = steps[1 + prng.below(4)];
                 t.wOut[last] = 1 + prng.below(6);
-            rows += row ? 1 : 0;
+            }
+            rows += shape == 0 ? 1 : 0;
+            swappedRows += shape == 1 ? 1 : 0;
             const bool unitDot = prng.below(2) == 0;
             for (unsigned d = 0; d < t.dims; ++d) {
                 t.iters[d] = 1 + prng.below(d + 1 == t.dims ? 9 : 3);
@@ -1264,9 +1369,10 @@ TEST(MacTileKernel, PortableAndAvx2AgreeOnRandomTiles)
                             a[aOut[i] + aRed[j]] *
                             w[wOut[i] + wRed[j]]));
 
-            const std::string what =
-                cfg.toString() + " round " + std::to_string(round) +
-                (row ? " row" : " dot");
+            const char *shapeName[] = {" row", " swapped row", " dot"};
+            const std::string what = cfg.toString() + " round " +
+                                     std::to_string(round) +
+                                     shapeName[shape];
             t.a = a.data();
             t.w = w.data();
             for (bool avx2 : {false, true}) {
@@ -1283,6 +1389,7 @@ TEST(MacTileKernel, PortableAndAvx2AgreeOnRandomTiles)
         }
     }
     EXPECT_GT(rows, 100u);
+    EXPECT_GT(swappedRows, 100u);
 }
 
 // --------------------------------------------- dispatch tiers

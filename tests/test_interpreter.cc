@@ -48,6 +48,24 @@ writeFlat(MemoryModel &mem, const Tensor &t)
     return base;
 }
 
+/**
+ * Write row-major [oc][ic] FC/LSTM/RNN weights in the layout
+ * emitFc(@p layer, ..., @p out_tile, @p in_tile) reads.
+ */
+std::uint64_t
+writeFcWeights(MemoryModel &mem, const Layer &layer,
+               std::uint64_t out_tile, std::uint64_t in_tile,
+               const Tensor &weights)
+{
+    const std::vector<std::int64_t> image =
+        Compiler::fcWeightLayout(layer, out_tile, in_tile)
+            .pack(weights.raw());
+    const std::uint64_t base = mem.allocate(image.size());
+    for (std::size_t i = 0; i < image.size(); ++i)
+        mem.write(base + i, image[i]);
+    return base;
+}
+
 Compiler
 testCompiler()
 {
@@ -103,7 +121,7 @@ checkFc(const Layer &layer, std::uint64_t out_tile,
     MemoryModel mem;
     BlockBases bases;
     bases.input = writeFlat(mem, input);
-    bases.weights = writeFlat(mem, weights);
+    bases.weights = writeFcWeights(mem, layer, out_tile, in_tile, weights);
     bases.output = mem.allocate(layer.outC);
 
     const Compiler compiler = testCompiler();
@@ -271,7 +289,7 @@ TEST(InterpreterFc, RnnCellAsConcatenatedFc)
     MemoryModel mem;
     BlockBases bases;
     bases.input = writeFlat(mem, cat);
-    bases.weights = writeFlat(mem, wcat);
+    bases.weights = writeFcWeights(mem, rnn, 5, 11, wcat);
     bases.output = mem.allocate(10);
     const Compiler compiler = testCompiler();
     const InstructionBlock block = compiler.emitFc(rnn, bases, 5, 11);
@@ -392,7 +410,7 @@ TEST(InterpreterStats, TracksTrafficAndOccupancy)
     MemoryModel mem;
     BlockBases bases;
     bases.input = writeFlat(mem, input);
-    bases.weights = writeFlat(mem, weights);
+    bases.weights = writeFcWeights(mem, fc, 8, 16, weights);
     bases.output = mem.allocate(16);
     const Compiler compiler = testCompiler();
     Interpreter interp(mem);

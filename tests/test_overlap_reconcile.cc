@@ -80,9 +80,12 @@ interpretFc(const AcceleratorConfig &cfg, const Layer &layer,
     bases.input = mem.allocate(input.size());
     for (std::size_t i = 0; i < input.size(); ++i)
         mem.write(bases.input + i, input[i]);
-    bases.weights = mem.allocate(weights.size());
-    for (std::size_t i = 0; i < weights.size(); ++i)
-        mem.write(bases.weights + i, weights[i]);
+    const std::vector<std::int64_t> image =
+        Compiler::fcWeightLayout(layer, sched.tile.mt, sched.tile.kt)
+            .pack(weights.raw());
+    bases.weights = mem.allocate(image.size());
+    for (std::size_t i = 0; i < image.size(); ++i)
+        mem.write(bases.weights + i, image[i]);
     bases.output = mem.allocate(layer.outputCount());
 
     const Compiler compiler(cfg);
